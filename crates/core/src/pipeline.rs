@@ -43,7 +43,7 @@ use fiat_crypto::TeeKeystore;
 use fiat_net::{DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
-use fiat_telemetry::{Clock, Counter, Gauge, Histogram, Journal, MetricRegistry, Span, WallClock};
+use fiat_telemetry::{Clock, Counter, Gauge, Histogram, MetricRegistry, Span, WallClock};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -562,17 +562,6 @@ pub trait FingerprintGate: Send {
     fn state_size(&self) -> usize;
 }
 
-/// One recent verdict, kept in the proxy's bounded decision [`Journal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionRecord {
-    /// Packet timestamp.
-    pub ts: SimTime,
-    /// Device the packet belonged to.
-    pub device: u16,
-    /// The verdict.
-    pub decision: ProxyDecision,
-}
-
 /// Pre-resolved telemetry handles for the proxy decision path.
 ///
 /// Every handle is looked up in the [`MetricRegistry`] once, at
@@ -580,10 +569,14 @@ pub struct DecisionRecord {
 /// lock — each update is a single relaxed atomic operation. The clock is
 /// pluggable so real deployments time stages with the OS monotonic clock
 /// while deterministic experiments drive a [`fiat_telemetry::ManualClock`].
+///
+/// Per-call stages (`rule_learn`, `humanness`) are timed on every call.
+/// Per-packet stages (`decide`, `rule_match`, `event_grouping`,
+/// `classification`) are timed on one decision in
+/// [`ProxyTelemetry::STAGE_SAMPLE_EVERY`]; the rest never read the clock.
 pub struct ProxyTelemetry {
     registry: MetricRegistry,
     clock: Arc<dyn Clock>,
-    journal: Journal<DecisionRecord>,
     stage_rule_learn: Histogram,
     stage_rule_match: Histogram,
     stage_event_grouping: Histogram,
@@ -611,8 +604,11 @@ pub struct ProxyTelemetry {
 }
 
 impl ProxyTelemetry {
-    /// Capacity of the recent-decision journal.
-    pub const JOURNAL_CAPACITY: usize = 256;
+    /// A decision's per-packet stages are timed when its index — the
+    /// proxy's [`ProxyStats::total`] before it is counted — is a multiple
+    /// of this. The count travels in snapshots, so a restored proxy
+    /// samples the same decisions an uninterrupted one would.
+    pub const STAGE_SAMPLE_EVERY: u64 = 64;
 
     /// Register the proxy's metrics in `registry` and time spans with
     /// `clock`.
@@ -682,7 +678,6 @@ impl ProxyTelemetry {
             )
         });
         ProxyTelemetry {
-            journal: Journal::new(Self::JOURNAL_CAPACITY),
             stage_rule_learn: stage("rule_learn"),
             stage_rule_match: stage("rule_match"),
             stage_event_grouping: stage("event_grouping"),
@@ -735,11 +730,6 @@ impl ProxyTelemetry {
         &self.clock
     }
 
-    /// Recent decisions, oldest first.
-    pub fn journal(&self) -> &Journal<DecisionRecord> {
-        &self.journal
-    }
-
     /// Current value of the decision counter matching `d`.
     pub fn decision_count(&self, d: ProxyDecision) -> u64 {
         match d {
@@ -763,17 +753,12 @@ impl ProxyTelemetry {
         }
     }
 
-    fn note_decision(&self, ts: SimTime, device: u16, decision: ProxyDecision) {
+    fn note_decision(&self, decision: ProxyDecision) {
         match decision {
             ProxyDecision::Allow(r) => self.allow_total[r as usize].inc(),
             ProxyDecision::Drop(r) => self.drop_total[r as usize].inc(),
             ProxyDecision::Quarantine => self.quarantine_total.inc(),
         }
-        self.journal.push(DecisionRecord {
-            ts,
-            device,
-            decision,
-        });
     }
 }
 
@@ -1394,7 +1379,7 @@ impl FiatProxy {
             self.telemetry.auth_errors.inc();
             return Err(AuthError::Malformed);
         };
-        let span = Span::enter(&self.telemetry.stage_humanness, &self.telemetry.clock);
+        let span = Span::enter(&self.telemetry.stage_humanness, &*self.telemetry.clock);
         let human = self.validator.validate_features(&msg.features, msg.truth);
         span.exit();
         if human {
@@ -1532,14 +1517,22 @@ impl FiatProxy {
 
     /// Decide one intercepted packet (timestamped by its `ts`).
     pub fn on_packet(&mut self, pkt: &PacketRecord) -> ProxyDecision {
-        let clock = Arc::clone(&self.telemetry.clock);
-        let span = Span::enter(&self.telemetry.stage_decide, &clock);
-        let d = self.decide(pkt);
-        span.exit();
+        let sampled = self
+            .stats
+            .total()
+            .is_multiple_of(ProxyTelemetry::STAGE_SAMPLE_EVERY);
+        // Timed by hand: a `Span` would borrow `self.telemetry` across
+        // `decide(&mut self)`.
+        let start = sampled.then(|| self.telemetry.clock.now_micros());
+        let d = self.decide(pkt, sampled);
+        if let Some(start) = start {
+            let us = self.telemetry.clock.now_micros().saturating_sub(start);
+            self.telemetry.stage_decide.record(us);
+        }
         if self.degraded {
             self.telemetry.degraded_decisions.inc();
         }
-        self.telemetry.note_decision(pkt.ts, pkt.device, d);
+        self.telemetry.note_decision(d);
         if let Some(h) = &self.hook {
             h.on_decision(pkt.ts, pkt.device, d);
         }
@@ -1568,7 +1561,8 @@ impl FiatProxy {
         d
     }
 
-    fn decide(&mut self, pkt: &PacketRecord) -> ProxyDecision {
+    /// Decide `pkt`; `sampled` times its per-packet stages.
+    fn decide(&mut self, pkt: &PacketRecord, sampled: bool) -> ProxyDecision {
         let now = pkt.ts;
         let started = self.started_at.expect("proxy not started");
 
@@ -1582,7 +1576,7 @@ impl FiatProxy {
             return ProxyDecision::Allow(AllowReason::Bootstrap);
         }
         if self.rules.is_none() {
-            let span = Span::enter(&self.telemetry.stage_rule_learn, &self.telemetry.clock);
+            let span = Span::enter(&self.telemetry.stage_rule_learn, &*self.telemetry.clock);
             let engine = PredictabilityEngine::new(self.config.flow_def)
                 .with_tolerance(self.config.tolerance);
             let mut rules = RuleTable::learn_instrumented(
@@ -1602,13 +1596,15 @@ impl FiatProxy {
         // Rule hit: predictable. The touch variant refreshes the rule's
         // LRU stamp (bounded mode evicts least-recently-matched) and
         // advances the ghost re-learn path on misses of evicted keys.
-        let span = Span::enter(&self.telemetry.stage_rule_match, &self.telemetry.clock);
-        let hit = self.rules.as_mut().expect("rules learned").matches_touch(
-            self.config.flow_def,
-            pkt,
-            &self.dns,
-        );
-        span.exit();
+        let hit = {
+            let _span = sampled
+                .then(|| Span::enter(&self.telemetry.stage_rule_match, &*self.telemetry.clock));
+            self.rules.as_mut().expect("rules learned").matches_touch(
+                self.config.flow_def,
+                pkt,
+                &self.dns,
+            )
+        };
         if hit {
             return ProxyDecision::Allow(AllowReason::RuleHit);
         }
@@ -1694,7 +1690,8 @@ impl FiatProxy {
 
         // Close a stale event. If it ended below the first-N window it
         // never met the classifier; give it its retrospective verdict.
-        let span = Span::enter(&self.telemetry.stage_event_grouping, &self.telemetry.clock);
+        let span = sampled
+            .then(|| Span::enter(&self.telemetry.stage_event_grouping, &*self.telemetry.clock));
         if dev.open.as_ref().is_some_and(|e| now - e.last >= gap) {
             let stale = dev.open.take().expect("presence checked above");
             self.telemetry.open_events_gauge.dec();
@@ -1715,7 +1712,6 @@ impl FiatProxy {
                 // locked the device; the packet that exposed it must not
                 // open a fresh event.
                 if dev.locked {
-                    span.exit();
                     return ProxyDecision::Drop(DropReason::LockedOut);
                 }
             }
@@ -1743,7 +1739,7 @@ impl FiatProxy {
         // zero — but must not rewind `last`, or the next in-order packet
         // measures an inflated gap and spuriously closes the event.
         open.last = open.last.max(now);
-        span.exit();
+        drop(span);
 
         if let Some(fate) = open.fate {
             return match fate {
@@ -1783,9 +1779,11 @@ impl FiatProxy {
             start: open.packets[0].ts,
             end: open.last,
         };
-        let span = Span::enter(&self.telemetry.stage_classification, &self.telemetry.clock);
-        let class = dev.classifier.classify_event(&ev, &open.packets);
-        span.exit();
+        let class = {
+            let _span = sampled
+                .then(|| Span::enter(&self.telemetry.stage_classification, &*self.telemetry.clock));
+            dev.classifier.classify_event(&ev, &open.packets)
+        };
         if !class.is_manual() {
             open.fate = Some(EventFate::AllowRest(AllowReason::NonManual));
             self.audit.append(AuditEntry {
@@ -2835,9 +2833,18 @@ mod tests {
             FiatProxy::with_telemetry(ProxyConfig::default(), &SECRET, validator, telemetry);
         proxy.register_device(0, EventClassifier::simple_rule(235), 1);
         proxy.start(SimTime::ZERO);
-        let t = bootstrap(&mut proxy);
+        let mut t = bootstrap(&mut proxy);
 
-        proxy.on_packet(&pkt(t, 100)); // rule hit
+        // Rule hits up to the next sampled decision index, so that the
+        // manual command below is sampled and runs every per-packet stage.
+        while !proxy
+            .stats()
+            .total()
+            .is_multiple_of(ProxyTelemetry::STAGE_SAMPLE_EVERY)
+        {
+            proxy.on_packet(&pkt(t, 100)); // rule hit
+            t += 10_000;
+        }
 
         // Verified manual command.
         let mut app = FiatApp::new(&SECRET, 1);
@@ -2906,13 +2913,19 @@ mod tests {
         assert!(s.dropped_unverified > 0);
         assert!(s.dropped_lockout > 0);
 
-        // The decide histogram saw every packet; per-stage histograms
-        // recorded the stages that ran.
-        assert_eq!(tel.stage("decide").unwrap().count(), s.total());
+        // Per-packet stages were timed on decisions 0, 64 and 128 only:
+        // two bootstrap packets, then the manual command, which missed the
+        // rules, joined an event and was classified. Per-call stages were
+        // timed on every call.
+        assert_eq!(
+            tel.stage("decide").unwrap().count(),
+            s.total().div_ceil(ProxyTelemetry::STAGE_SAMPLE_EVERY)
+        );
+        assert_eq!(tel.stage("decide").unwrap().count(), 3);
+        assert_eq!(tel.stage("rule_match").unwrap().count(), 1);
+        assert_eq!(tel.stage("event_grouping").unwrap().count(), 1);
+        assert_eq!(tel.stage("classification").unwrap().count(), 1);
         assert_eq!(tel.stage("rule_learn").unwrap().count(), 1);
-        assert!(tel.stage("rule_match").unwrap().count() > 0);
-        assert!(tel.stage("event_grouping").unwrap().count() > 0);
-        assert!(tel.stage("classification").unwrap().count() > 0);
         assert_eq!(tel.stage("humanness").unwrap().count(), 1);
 
         // Gauges reflect the end state: one device, locked, stale event
@@ -2923,15 +2936,6 @@ mod tests {
             registry.gauge("fiat_proxy_rules", &[]).get(),
             proxy.rule_count() as i64
         );
-        // The journal tail matches the last decision (the stranger).
-        let last = tel.journal().last().unwrap();
-        assert_eq!(last.device, 7);
-        assert_eq!(
-            last.decision,
-            ProxyDecision::Allow(AllowReason::UnknownDevice)
-        );
-        assert_eq!(tel.journal().total_pushed(), s.total());
-
         proxy.clear_lockout(0);
         assert_eq!(registry.gauge("fiat_proxy_locked_devices", &[]).get(), 0);
 
@@ -2958,22 +2962,6 @@ mod tests {
         );
         let json = registry.render_json();
         assert!(json.contains("\"fiat_proxy_decisions_total\""));
-    }
-
-    #[test]
-    fn decision_journal_is_bounded() {
-        let mut proxy = proxy_with_plug();
-        let t = bootstrap(&mut proxy);
-        for k in 0..(ProxyTelemetry::JOURNAL_CAPACITY as u64 + 50) {
-            proxy.on_packet(&pkt(t + k * 10_000, 100));
-        }
-        let j = proxy.telemetry().journal();
-        assert_eq!(j.len(), ProxyTelemetry::JOURNAL_CAPACITY);
-        assert!(j.total_pushed() > ProxyTelemetry::JOURNAL_CAPACITY as u64);
-        assert!(j
-            .recent()
-            .iter()
-            .all(|r| r.decision == ProxyDecision::Allow(AllowReason::RuleHit)));
     }
 
     #[test]
@@ -3422,6 +3410,57 @@ mod tests {
         assert_eq!(uninterrupted.stats(), restored.stats());
         assert_eq!(uninterrupted.audit().head(), restored.audit().head());
         assert!(restored.audit().verify());
+    }
+
+    #[test]
+    fn stage_sampling_survives_snapshot_restore() {
+        // Stage histograms sample by decision index, which travels in the
+        // snapshot. A proxy snapshotted off a sampling boundary and
+        // restored into fresh telemetry must, summed with its pre-move
+        // histograms, time exactly the decisions an uninterrupted proxy
+        // times.
+        const STAGES: [&str; 4] = ["decide", "rule_match", "event_grouping", "classification"];
+        let counts = |p: &FiatProxy| STAGES.map(|n| p.telemetry().stage(n).unwrap().count());
+        // Rule hits with a non-manual event every third packet.
+        let suffix = |t: u64| {
+            (0..300u64).map(move |k| pkt(t + k * 10_000, if k % 3 == 0 { 999 } else { 100 }))
+        };
+        let mut uninterrupted = proxy_with_plug();
+        let t = bootstrap(&mut uninterrupted);
+        for p in suffix(t) {
+            uninterrupted.on_packet(&p);
+        }
+
+        let mut moved = proxy_with_plug();
+        bootstrap(&mut moved);
+        let split = 30;
+        for p in suffix(t).take(split) {
+            moved.on_packet(&p);
+        }
+        assert_ne!(
+            moved.stats().total() % ProxyTelemetry::STAGE_SAMPLE_EVERY,
+            0
+        );
+        let before = counts(&moved);
+        let mut restored = restore_plug(&moved.snapshot());
+        for p in suffix(t).skip(split) {
+            restored.on_packet(&p);
+        }
+        let after = counts(&restored);
+
+        assert_eq!(restored.stats(), uninterrupted.stats());
+        let whole = counts(&uninterrupted);
+        assert_eq!(
+            whole[0],
+            uninterrupted
+                .stats()
+                .total()
+                .div_ceil(ProxyTelemetry::STAGE_SAMPLE_EVERY)
+        );
+        assert!(whole[3] > 0, "no sampled decision reached classification");
+        for (i, stage) in STAGES.iter().enumerate() {
+            assert_eq!(before[i] + after[i], whole[i], "{stage}");
+        }
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! decider on small hardware:
 //!
 //! - [`MetricRegistry`] — thread-safe, named [`Counter`]s, [`Gauge`]s and
-//!   log-linear-bucket [`Histogram`]s (p50/p90/p99/max queries, one
-//!   relaxed atomic op per update on the hot path).
+//!   log-linear-bucket [`Histogram`]s (p50/p90/p99/max queries). A
+//!   counter or gauge update is one relaxed atomic op; a histogram record
+//!   is five.
 //! - [`Span`] — stage-latency timing driven by a pluggable [`Clock`], so
 //!   real deployments use the OS monotonic clock ([`WallClock`]) while
-//!   deterministic experiments drive simulated time ([`ManualClock`]).
-//! - [`Journal`] — a bounded ring buffer of recent decisions for "what
-//!   just happened" debugging.
+//!   deterministic experiments drive simulated time ([`ManualClock`]). A
+//!   span borrows its histogram and clock; it costs two clock reads and
+//!   one record. The proxy opens its per-packet stage spans on one
+//!   decision in 64 only, so an unsampled packet pays no telemetry but
+//!   its decision counter.
 //! - [`Snapshot`] exposition — Prometheus text format and a
 //!   `serde_json`-compatible JSON document, both rendered without any
 //!   serialization dependency.
@@ -46,7 +49,6 @@ pub mod chaos;
 pub mod clock;
 pub mod control;
 pub mod expose;
-pub mod journal;
 pub mod metrics;
 pub mod oracle;
 pub mod span;
@@ -57,7 +59,6 @@ pub use chaos::ChaosMetrics;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use control::ControlMetrics;
 pub use expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
-pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, NUM_BUCKETS};
 pub use oracle::OracleMetrics;
 pub use span::Span;

@@ -23,20 +23,21 @@ use crate::clock::Clock;
 use crate::metrics::Histogram;
 
 /// An in-flight stage timing; records into its histogram on [`Span::exit`]
-/// or drop.
+/// or drop. It borrows the histogram rather than cloning its handle, so a
+/// span costs two clock reads and one record.
 #[must_use = "a span records when it is dropped or exited"]
-pub struct Span<'c> {
-    hist: Histogram,
-    clock: &'c dyn Clock,
+pub struct Span<'a> {
+    hist: &'a Histogram,
+    clock: &'a dyn Clock,
     start: u64,
     armed: bool,
 }
 
-impl<'c> Span<'c> {
+impl<'a> Span<'a> {
     /// Start timing a stage against `hist` using `clock`.
-    pub fn enter(hist: &Histogram, clock: &'c dyn Clock) -> Self {
+    pub fn enter(hist: &'a Histogram, clock: &'a dyn Clock) -> Self {
         Span {
-            hist: hist.clone(),
+            hist,
             clock,
             start: clock.now_micros(),
             armed: true,
