@@ -23,10 +23,6 @@
 //!   lockout, and the audit trail.
 //! - [`interactions`]: the §7 device-interaction DAG (Alexa → smart
 //!   light) that lets authorized devices vouch for downstream commands.
-//! - [`identify`]: passive device identification from traffic
-//!   fingerprints and the §7 per-device-and-version model registry.
-//! - [`notify`]: the user-facing alert feed digesting the audit trail
-//!   (blocked commands, lockouts, the silent-FN digest of §7).
 //! - [`audit`]: hash-chained, tamper-evident log of every unpredictable
 //!   event and decision (§7 "Technology Acceptance").
 //! - [`snapshot`]: versioned, serde-round-trippable export of a proxy's
@@ -34,6 +30,10 @@
 //!   survive a restart without losing rules, events, or its audit chain.
 //! - [`analysis`]: the Appendix A closed-form false-positive/negative
 //!   model.
+//!
+//! Device identification (§7 "Road to Production") lives in
+//! `fiat-fingerprint`, which plugs into the proxy through the
+//! [`FingerprintGate`] trait.
 
 pub mod analysis;
 pub mod audit;
@@ -41,9 +41,7 @@ pub mod classifier;
 pub mod client;
 pub mod events;
 pub mod features;
-pub mod identify;
 pub mod interactions;
-pub mod notify;
 pub mod pairing;
 pub mod pipeline;
 pub mod predict;
@@ -56,9 +54,7 @@ pub use client::{
 };
 pub use events::{group_events, UnpredictableEvent, EVENT_GAP};
 pub use features::{event_feature_names, event_features, EVENT_FEATURE_COUNT};
-pub use identify::{DeviceIdentifier, ModelRegistry};
 pub use interactions::InteractionGraph;
-pub use notify::{Notification, NotificationCenter, Severity};
 pub use pairing::pair;
 pub use pipeline::{
     AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,

@@ -912,8 +912,8 @@ impl FiatProxy {
         self.stats
     }
 
-    /// The proxy's telemetry handles (registry, stage histograms, decision
-    /// journal).
+    /// The proxy's telemetry handles (registry, decision counters, stage
+    /// histograms).
     pub fn telemetry(&self) -> &ProxyTelemetry {
         &self.telemetry
     }
@@ -2968,7 +2968,7 @@ mod tests {
     fn post_verdict_packets_keep_manual_verified_reason() {
         // Regression: the open event's fate used to discard *why* it was
         // allowed, so every post-verdict packet of a verified manual event
-        // was counted as NonManual in stats and the decision journal.
+        // was counted as NonManual in stats.
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let mut proxy = FiatProxy::new(ProxyConfig::default(), &SECRET, validator);
         // N = 5: packets 1-4 ride the first-N allowance, packet 5 is the

@@ -7,8 +7,8 @@
 //! their behalf. Purpose binding (a signing key cannot encrypt) mirrors
 //! Android keystore semantics.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::aead;
 use crate::hkdf::Hkdf;
@@ -73,10 +73,17 @@ impl TeeKeystore {
         Self::default()
     }
 
+    /// Lock the store. Every critical section leaves `StoreInner`
+    /// consistent, so a panic elsewhere while holding the lock (a
+    /// poisoned mutex) does not invalidate the keys.
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Import raw key material. The material is consumed by the store; only
     /// a handle escapes.
     pub fn import(&self, material: [u8; 32], purpose: KeyPurpose) -> KeyHandle {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.keys.insert(id, SealedKey { material, purpose });
@@ -92,7 +99,7 @@ impl TeeKeystore {
         purpose: KeyPurpose,
     ) -> Result<KeyHandle, KeystoreError> {
         let derived: [u8; 32] = {
-            let inner = self.inner.lock();
+            let inner = self.lock();
             let key = inner
                 .keys
                 .get(&parent.0)
@@ -104,7 +111,7 @@ impl TeeKeystore {
 
     /// HMAC-SHA256 over `data` with a Sign-purpose key.
     pub fn sign(&self, handle: KeyHandle, data: &[u8]) -> Result<[u8; 32], KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -122,7 +129,7 @@ impl TeeKeystore {
         data: &[u8],
         tag: &[u8],
     ) -> Result<bool, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -141,7 +148,7 @@ impl TeeKeystore {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -160,7 +167,7 @@ impl TeeKeystore {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -173,7 +180,7 @@ impl TeeKeystore {
 
     /// Number of keys sealed in the store.
     pub fn len(&self) -> usize {
-        self.inner.lock().keys.len()
+        self.lock().keys.len()
     }
 
     /// Whether the store holds no keys.

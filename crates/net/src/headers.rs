@@ -7,7 +7,6 @@
 //! logic a deployment on live traffic would.
 
 use crate::packet::{TcpFlags, Transport};
-use bytes::{BufMut, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Ethernet II header length.
@@ -165,25 +164,25 @@ pub fn build_frame(spec: &FrameSpec) -> Vec<u8> {
         Transport::Udp => UDP_HDR_LEN,
     };
     let ip_total_len = (IPV4_HDR_LEN + transport_hdr + spec.payload.len()) as u16;
-    let mut buf = BytesMut::with_capacity(ETH_HDR_LEN + ip_total_len as usize);
+    let mut buf = Vec::with_capacity(ETH_HDR_LEN + ip_total_len as usize);
 
     // Ethernet II.
-    buf.put_slice(&spec.dst_mac.0);
-    buf.put_slice(&spec.src_mac.0);
-    buf.put_u16(ETHERTYPE_IPV4);
+    buf.extend_from_slice(&spec.dst_mac.0);
+    buf.extend_from_slice(&spec.src_mac.0);
+    buf.extend_from_slice(&u16::to_be_bytes(ETHERTYPE_IPV4));
 
     // IPv4 header.
     let ip_start = buf.len();
-    buf.put_u8(0x45); // version 4, IHL 5
-    buf.put_u8(0); // DSCP/ECN
-    buf.put_u16(ip_total_len);
-    buf.put_u16(0); // identification
-    buf.put_u16(0x4000); // flags: DF
-    buf.put_u8(spec.ttl);
-    buf.put_u8(spec.transport.proto_number());
-    buf.put_u16(0); // checksum placeholder
-    buf.put_slice(&spec.src_ip.octets());
-    buf.put_slice(&spec.dst_ip.octets());
+    buf.push(0x45); // version 4, IHL 5
+    buf.push(0); // DSCP/ECN
+    buf.extend_from_slice(&u16::to_be_bytes(ip_total_len));
+    buf.extend_from_slice(&u16::to_be_bytes(0)); // identification
+    buf.extend_from_slice(&u16::to_be_bytes(0x4000)); // flags: DF
+    buf.push(spec.ttl);
+    buf.push(spec.transport.proto_number());
+    buf.extend_from_slice(&u16::to_be_bytes(0)); // checksum placeholder
+    buf.extend_from_slice(&spec.src_ip.octets());
+    buf.extend_from_slice(&spec.dst_ip.octets());
     let ip_csum = checksum(&buf[ip_start..ip_start + IPV4_HDR_LEN], 0);
     buf[ip_start + 10..ip_start + 12].copy_from_slice(&ip_csum.to_be_bytes());
 
@@ -192,16 +191,16 @@ pub fn build_frame(spec: &FrameSpec) -> Vec<u8> {
     let t_len = (transport_hdr + spec.payload.len()) as u16;
     match spec.transport {
         Transport::Tcp => {
-            buf.put_u16(spec.src_port);
-            buf.put_u16(spec.dst_port);
-            buf.put_u32(1); // seq
-            buf.put_u32(1); // ack
-            buf.put_u8(0x50); // data offset 5
-            buf.put_u8(spec.tcp_flags.0);
-            buf.put_u16(0xffff); // window
-            buf.put_u16(0); // checksum placeholder
-            buf.put_u16(0); // urgent
-            buf.put_slice(&spec.payload);
+            buf.extend_from_slice(&u16::to_be_bytes(spec.src_port));
+            buf.extend_from_slice(&u16::to_be_bytes(spec.dst_port));
+            buf.extend_from_slice(&u32::to_be_bytes(1)); // seq
+            buf.extend_from_slice(&u32::to_be_bytes(1)); // ack
+            buf.push(0x50); // data offset 5
+            buf.push(spec.tcp_flags.0);
+            buf.extend_from_slice(&u16::to_be_bytes(0xffff)); // window
+            buf.extend_from_slice(&u16::to_be_bytes(0)); // checksum placeholder
+            buf.extend_from_slice(&u16::to_be_bytes(0)); // urgent
+            buf.extend_from_slice(&spec.payload);
             let csum = checksum(
                 &buf[t_start..],
                 pseudo_header_sum(spec.src_ip, spec.dst_ip, 6, t_len),
@@ -209,11 +208,11 @@ pub fn build_frame(spec: &FrameSpec) -> Vec<u8> {
             buf[t_start + 16..t_start + 18].copy_from_slice(&csum.to_be_bytes());
         }
         Transport::Udp => {
-            buf.put_u16(spec.src_port);
-            buf.put_u16(spec.dst_port);
-            buf.put_u16(t_len);
-            buf.put_u16(0); // checksum placeholder
-            buf.put_slice(&spec.payload);
+            buf.extend_from_slice(&u16::to_be_bytes(spec.src_port));
+            buf.extend_from_slice(&u16::to_be_bytes(spec.dst_port));
+            buf.extend_from_slice(&u16::to_be_bytes(t_len));
+            buf.extend_from_slice(&u16::to_be_bytes(0)); // checksum placeholder
+            buf.extend_from_slice(&spec.payload);
             let mut csum = checksum(
                 &buf[t_start..],
                 pseudo_header_sum(spec.src_ip, spec.dst_ip, 17, t_len),
@@ -224,7 +223,7 @@ pub fn build_frame(spec: &FrameSpec) -> Vec<u8> {
             buf[t_start + 6..t_start + 8].copy_from_slice(&csum.to_be_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Parse an Ethernet II frame built by [`build_frame`] (or any plain
@@ -353,6 +352,32 @@ mod tests {
         assert_eq!(p.tcp_flags, TcpFlags::psh_ack());
         assert_eq!(p.payload_len, 9);
         assert_eq!(p.frame_len, frame.len());
+    }
+
+    #[test]
+    fn frames_match_golden_bytes() {
+        // Pins the wire format itself: a change that build and parse
+        // agree on would still pass the round-trip tests. Checksums were
+        // computed independently of `checksum`.
+        #[rustfmt::skip]
+        let tcp: [u8; 56] = [
+            0x02, 0xf1, 0xa7, 0x00, 0x00, 0x02, 0x02, 0xf1, 0xa7, 0x00, 0x00, 0x01, 0x08, 0x00,
+            0x45, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06, 0x51, 0x9e,
+            0xc0, 0xa8, 0x01, 0x0a, 0x22, 0x78, 0x05, 0x06,
+            0xc3, 0xcb, 0x01, 0xbb, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+            0x50, 0x18, 0xff, 0xff, 0x98, 0xa8, 0x00, 0x00,
+            b'h', b'i',
+        ];
+        #[rustfmt::skip]
+        let udp: [u8; 45] = [
+            0x02, 0xf1, 0xa7, 0x00, 0x00, 0x02, 0x02, 0xf1, 0xa7, 0x00, 0x00, 0x01, 0x08, 0x00,
+            0x45, 0x00, 0x00, 0x1f, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0x51, 0x9e,
+            0xc0, 0xa8, 0x01, 0x0a, 0x22, 0x78, 0x05, 0x06,
+            0xc3, 0xcb, 0x01, 0xbb, 0x00, 0x0b, 0x4d, 0x1f,
+            0x01, 0x02, 0x03,
+        ];
+        assert_eq!(build_frame(&spec(Transport::Tcp, b"hi".to_vec())), tcp);
+        assert_eq!(build_frame(&spec(Transport::Udp, vec![1, 2, 3])), udp);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! installed, the probe layer must add nothing to the decide hot path —
 //! in particular, zero heap allocations per steady-state rule-hit
 //! decision through the full `FiatProxy::on_packet` path (hook check,
-//! telemetry, journal and all).
+//! telemetry and all).
 //!
 //! [`CountingAllocator`] is this crate's own probe; using it to prove
 //! the probes-off state keeps the claim honest. The file holds exactly
@@ -58,9 +58,8 @@ fn probes_off_decide_path_does_not_allocate() {
         ts += PERIOD_US;
     }
 
-    // Warm up past every one-time effect: the first post-bootstrap
-    // packet triggers rule learning, and the decision journal must reach
-    // capacity (256) so pushes stop growing its buffer.
+    // Warm up past every one-time effect before counting: the first
+    // post-bootstrap packet triggers rule learning.
     let mut hits = 0u64;
     for _ in 0..512 {
         if proxy.on_packet(&pkt(ts, remote, 235)).is_allow() {

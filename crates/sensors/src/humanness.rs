@@ -49,13 +49,13 @@ enum Mode {
     Calibrated {
         recall_human: f64,
         recall_non_human: f64,
-        rng: parking_lot_free_rng::SeededCell,
+        rng: seeded_rng::SeededCell,
     },
 }
 
 /// A tiny deterministic RNG cell so `validate` can take `&self`-style use
 /// through `&mut self` without exposing rand types in the API.
-mod parking_lot_free_rng {
+mod seeded_rng {
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -122,7 +122,7 @@ impl HumannessValidator {
             mode: Mode::Calibrated {
                 recall_human,
                 recall_non_human,
-                rng: parking_lot_free_rng::SeededCell::new(seed),
+                rng: seeded_rng::SeededCell::new(seed),
             },
         }
     }

@@ -2,11 +2,18 @@
 //! it passively from an hour of traffic and pulls the right classifier
 //! from the model registry — no manual configuration.
 //!
+//! Identification uses the same signatures as the proxy's fingerprint
+//! gate (`fiat-fingerprint`): the device type is the signature whose
+//! cloud domains the device contacts, and the behavioral match over its
+//! packet-level profile is printed next to it.
+//!
 //! Run: `cargo run --release --example device_identification`
 
 use fiat::core::classifier::event_dataset;
-use fiat::core::identify::{DeviceIdentifier, ModelRegistry};
 use fiat::prelude::*;
+use fiat_fingerprint::features::{fold_packet, profile};
+use fiat_fingerprint::{MatcherConfig, SignatureSet, FEATURE_COUNT};
+use std::collections::BTreeMap;
 
 fn window(c: &TestbedTrace, device: u16, start_min: u64) -> Vec<PacketRecord> {
     let lo = SimTime::ZERO + SimDuration::from_mins(start_min);
@@ -19,33 +26,56 @@ fn window(c: &TestbedTrace, device: u16, start_min: u64) -> Vec<PacketRecord> {
         .collect()
 }
 
+/// The behavioral vote over `packets`: each full evidence window casts
+/// its confident match, and the most-voted signature wins (ties toward
+/// the lowest index). `None` when no window matched confidently.
+fn behaves_as(sigs: &SignatureSet, packets: &[PacketRecord], cfg: &MatcherConfig) -> Option<u16> {
+    let mut votes = vec![0u32; sigs.len()];
+    for chunk in packets.chunks_exact(cfg.evidence_window as usize) {
+        let mut hist = [0u32; FEATURE_COUNT];
+        for (k, pkt) in chunk.iter().enumerate() {
+            let prev = k.checked_sub(1).map(|j| (chunk[j].ts, chunk[j].size));
+            fold_packet(&mut hist, pkt, prev);
+        }
+        if let Some(idx) = sigs.confident_match(&profile(&hist), cfg) {
+            votes[idx as usize] += 1;
+        }
+    }
+    let (idx, &n) = votes.iter().enumerate().rev().max_by_key(|&(_, n)| *n)?;
+    (n > 0).then_some(idx as u16)
+}
+
 fn main() {
-    // The vendor-side lab: captures of known device types, used to train
-    // both the identifier and the per-type event classifiers.
+    // The vendor-side lab: captures of known device types, used to learn
+    // both the signatures and the per-type event classifiers.
     let lab = TestbedTrace::generate(TestbedConfig {
         days: 3.0,
         seed: 31,
         manual_per_day: 6.0,
         ..Default::default()
     });
-    let mut samples = Vec::new();
-    for (i, dev) in lab.devices.iter().enumerate() {
-        for start in [0u64, 60, 120] {
-            samples.push((dev.name.clone(), window(&lab, i as u16, start)));
-        }
-    }
-    let identifier = DeviceIdentifier::train(&samples, &lab.trace.dns);
-    println!(
-        "identifier knows {} device types",
-        identifier.known_devices().len()
-    );
+    let cfg = MatcherConfig::default();
+    let corpus: Vec<(String, Trace)> = lab
+        .devices
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| {
+            let trace = Trace {
+                packets: lab.trace.device_packets(i as u16).cloned().collect(),
+                dns: lab.trace.dns.clone(),
+            };
+            (dev.name.clone(), trace)
+        })
+        .collect();
+    let sigs = SignatureSet::learn(&corpus, cfg.evidence_window);
+    println!("identifier knows {} device types", sigs.len());
 
     // Publish one classifier model per device type (version 1), with a
     // version-2 refresh for the plugs.
     let engine = PredictabilityEngine::new(FlowDef::PortLess);
     let flags = engine.analyze(&lab.trace.packets, &lab.trace.dns);
     let events = group_events(&lab.trace.packets, &flags, EVENT_GAP);
-    let mut registry = ModelRegistry::new();
+    let mut registry: BTreeMap<(String, u32), EventClassifier> = BTreeMap::new();
     for (i, dev) in lab.devices.iter().enumerate() {
         let model = match dev.simple_rule_size {
             Some(size) => EventClassifier::simple_rule(size),
@@ -58,9 +88,9 @@ fn main() {
                 EventClassifier::train_bernoulli(&event_dataset(&evs, &lab.trace.packets))
             }
         };
-        registry.publish(dev.name.clone(), 1, model);
+        registry.insert((dev.name.clone(), 1), model);
     }
-    registry.publish("SP10", 2, EventClassifier::simple_rule(235));
+    registry.insert(("SP10".to_string(), 2), EventClassifier::simple_rule(235));
     println!("registry holds {} models", registry.len());
 
     // A different household, a year later: fresh captures, same device
@@ -70,19 +100,32 @@ fn main() {
         seed: 77,
         ..Default::default()
     });
-    println!("\n{:<10} {:<12} model", "actual", "identified");
+    let label = |idx: Option<u16>| idx.and_then(|i| sigs.label(i)).unwrap_or("?");
+    println!(
+        "\n{:<10} {:<12} {:<12} model",
+        "actual", "identified", "behaves as"
+    );
     let mut correct = 0;
     for (i, dev) in home.devices.iter().enumerate() {
         let w = window(&home, i as u16, 0);
-        match registry.resolve_for_capture(&identifier, &w, &home.trace.dns) {
-            Some((name, version, _)) => {
-                if name == dev.name {
-                    correct += 1;
+        let mut claims: Vec<u32> = Vec::new();
+        for p in &w {
+            if let RemoteId::Domain(id) = home.trace.dns.remote_id(p.remote_ip) {
+                if !claims.contains(&id) {
+                    claims.push(id);
                 }
-                println!("{:<10} {:<12} v{version}", dev.name, name);
             }
-            None => println!("{:<10} {:<12} -", dev.name, "?"),
         }
+        let name = label(sigs.claimed_class(&claims, &home.trace.dns));
+        let behaves = label(behaves_as(&sigs, &w, &cfg));
+        if name == dev.name {
+            correct += 1;
+        }
+        let model = match registry.keys().rfind(|(n, _)| n == name) {
+            Some((_, version)) => format!("v{version}"),
+            None => "-".to_string(),
+        };
+        println!("{:<10} {:<12} {:<12} {model}", dev.name, name, behaves);
     }
     println!("\nidentified {correct}/10 devices correctly");
     println!(

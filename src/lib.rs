@@ -23,7 +23,7 @@
 //! - [`trace`] (`fiat-trace`) — testbed device models and dataset
 //!   synthesis.
 //! - [`telemetry`] (`fiat-telemetry`) — metrics, stage-latency spans,
-//!   decision journal, and Prometheus/JSON exposition.
+//!   and Prometheus/JSON exposition.
 //! - [`fleet`] (`fiat-fleet`) — the sharded multi-home proxy runtime
 //!   with deterministic fleet-wide telemetry merging.
 //! - [`attack`] (`fiat-attack`) — the adversarial red-team harness:
