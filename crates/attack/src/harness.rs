@@ -30,7 +30,9 @@
 use crate::scorecard::{AttackOutcome, AttackVerdict};
 use crate::strategies::{AttackAction, AttackStrategy, Recon};
 use fiat_core::audit::{verify_chain, AuditEntry, AuditVerdict};
-use fiat_core::{AllowReason, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision};
+use fiat_core::{
+    AllowReason, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, CLASSIFY_AT_CAP,
+};
 use fiat_fingerprint::{FingerprintEngine, MatcherConfig, SignatureSet};
 use fiat_net::{PacketRecord, SimDuration, SimTime, Trace};
 use fiat_quic::ZeroRttPacket;
@@ -167,10 +169,7 @@ pub fn run_attack(
         relay_ip,
         command_size,
         min_packets: dev.min_packets_to_complete,
-        classify_at: dev
-            .min_packets_to_complete
-            .min(proxy_config.classify_at_cap)
-            .max(1),
+        classify_at: dev.min_packets_to_complete.clamp(1, CLASSIFY_AT_CAP),
         rule_size: rule_flow.1.size,
         rule_ip: location.cloud_ip(dev.endpoint_base + rule_flow.0 as u16, 0),
         rule_direction: rule_flow.1.direction,

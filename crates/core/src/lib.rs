@@ -58,8 +58,8 @@ pub use interactions::InteractionGraph;
 pub use pairing::pair;
 pub use pipeline::{
     AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,
-    FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
-    StateSize,
+    FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyEvent, ProxyHook, ProxyStats,
+    ProxyTelemetry, StateSize, CLASSIFY_AT_CAP,
 };
 pub use predict::{
     GhostState, PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry,

@@ -48,6 +48,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+/// Maximum packets allowed (and used as features) before classifying:
+/// a device's first-N allowance is `min(N, CLASSIFY_AT_CAP)`.
+pub const CLASSIFY_AT_CAP: usize = 5;
+
 /// Proxy configuration (paper defaults).
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
@@ -59,8 +63,6 @@ pub struct ProxyConfig {
     pub bootstrap: SimDuration,
     /// Unpredictable-event gap threshold.
     pub event_gap: SimDuration,
-    /// Maximum packets allowed (and used as features) before classifying.
-    pub classify_at_cap: usize,
     /// How long a humanness proof stays fresh.
     pub human_valid_window: SimDuration,
     /// Unverified manual events *tolerated* within
@@ -69,10 +71,6 @@ pub struct ProxyConfig {
     pub lockout_threshold: u32,
     /// Sliding window for the lockout counter.
     pub lockout_window: SimDuration,
-    /// Classify events that close below the first-N window
-    /// retrospectively (see the module docs). Disable to reproduce the
-    /// inline-only verdict path.
-    pub retro_classify: bool,
     /// Pending-verdict quarantine: how long a manual-classified event
     /// whose humanness proof has not arrived is *held* (not dropped)
     /// awaiting the proof. `None` (the default) disables quarantine and
@@ -116,11 +114,9 @@ impl Default for ProxyConfig {
             tolerance: DEFAULT_TOLERANCE,
             bootstrap: SimDuration::from_mins(20),
             event_gap: SimDuration::from_secs(5),
-            classify_at_cap: 5,
             human_valid_window: SimDuration::from_secs(30),
             lockout_threshold: 3,
             lockout_window: SimDuration::from_secs(60),
-            retro_classify: true,
             proof_deadline: None,
             quarantine_capacity: 64,
             max_rules: Some(65_536),
@@ -353,7 +349,7 @@ pub struct StateSize {
     pub rule_ghosts: usize,
     /// Open unpredictable events.
     pub open_events: usize,
-    /// Packets buffered across open events (≤ `classify_at_cap` each).
+    /// Packets buffered across open events (≤ [`CLASSIFY_AT_CAP`] each).
     pub open_packets: usize,
     /// Pending-verdict quarantine records.
     pub quarantine_records: usize,
@@ -459,11 +455,6 @@ impl ProxyDecision {
         matches!(self, ProxyDecision::Allow(_))
     }
 
-    /// Whether the packet was held pending a verdict.
-    pub fn is_quarantine(self) -> bool {
-        matches!(self, ProxyDecision::Quarantine)
-    }
-
     /// Stable snake_case reason label (`"rule_hit"`, `"locked_out"`,
     /// `"pending_proof"`) — the same strings the telemetry `reason`
     /// label uses.
@@ -476,40 +467,55 @@ impl ProxyDecision {
     }
 }
 
+/// One decision-path transition: a packet verdict, a proof arrival, or
+/// a lockout or quarantine change. Every transition the proxy makes is
+/// emitted exactly once, and that one emission updates [`ProxyStats`],
+/// the telemetry counters and gauges, and the installed [`ProxyHook`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProxyEvent {
+    /// A packet was decided (once per [`FiatProxy::on_packet`]).
+    Decided(ProxyDecision),
+    /// A humanness proof arrived and was validated (`verified` is the
+    /// outcome). Proofs are not tied to a device: reported as device 0,
+    /// after the quarantine releases they caused.
+    Proof {
+        /// Whether the validator accepted the proof.
+        verified: bool,
+    },
+    /// The device entered brute-force lockout (at packet time, retro
+    /// event end, or quarantine deadline — whichever triggered it).
+    LockoutEntered,
+    /// A lockout was manually cleared. The §5.4 user action happens
+    /// outside packet time, so it is reported at [`SimTime::ZERO`].
+    LockoutCleared,
+    /// A quarantine record was released by a late proof.
+    QuarantineReleased {
+        /// Held packets forwarded.
+        packets: u64,
+    },
+    /// A quarantine record expired at its deadline (or was demoted by
+    /// the record cap).
+    QuarantineExpired {
+        /// Held packets discarded.
+        packets: u64,
+    },
+}
+
 /// Observer for decision-path transitions, installed with
-/// [`FiatProxy::set_hook`]. Every method has an empty default body, so
-/// an implementor subscribes only to the transitions it cares about.
+/// [`FiatProxy::set_hook`].
 ///
-/// Hooks exist for the flight recorder (`fiat-probe`): they fire at the
-/// state transitions a post-mortem needs a causal timeline for — packet
-/// verdicts, proof arrivals, lockout and quarantine changes. The proxy
-/// calls them with the *simulated* packet clock, so a recorded timeline
-/// is deterministic across runs of the same trace.
+/// Hooks exist for the flight recorder (`fiat-probe`), which needs a
+/// causal timeline for post-mortems. The proxy calls them with the
+/// *simulated* packet clock, so a recorded timeline is deterministic
+/// across runs of the same trace.
 ///
-/// With no hook installed (the default), each site costs one branch on
-/// an `Option` — the allocation-regression test in `fiat-probe`
+/// With no hook installed (the default), each emission costs one branch
+/// on an `Option` — the allocation-regression test in `fiat-probe`
 /// (`tests/overhead.rs`) pins the hook-free decide path at zero
 /// allocations.
 pub trait ProxyHook: Send {
-    /// A packet was decided (fires once per [`FiatProxy::on_packet`]).
-    fn on_decision(&self, _ts: SimTime, _device: u16, _decision: ProxyDecision) {}
-    /// A humanness proof arrived and was validated (`verified` is the
-    /// outcome).
-    fn on_proof(&self, _ts: SimTime, _verified: bool) {}
-    /// A device entered brute-force lockout at `ts` (packet time, retro
-    /// event end, or quarantine deadline — whichever triggered it).
-    fn on_lockout(&self, _ts: SimTime, _device: u16) {}
-    /// A lockout was manually cleared (no simulated timestamp: the §5.4
-    /// user action happens outside packet time).
-    fn on_lockout_cleared(&self, _device: u16) {}
-    /// A packet was held in pending-verdict quarantine.
-    fn on_quarantine_held(&self, _ts: SimTime, _device: u16) {}
-    /// A quarantine record was released by a late proof; `packets` held
-    /// packets were forwarded.
-    fn on_quarantine_released(&self, _ts: SimTime, _device: u16, _packets: u64) {}
-    /// A quarantine record expired at its deadline; `packets` held
-    /// packets were discarded.
-    fn on_quarantine_expired(&self, _ts: SimTime, _device: u16, _packets: u64) {}
+    /// `device` made transition `ev` at `ts`.
+    fn on_event(&self, ts: SimTime, device: u16, ev: ProxyEvent);
 }
 
 /// Behavioral identity verdict for one unknown device, produced by a
@@ -586,7 +592,6 @@ pub struct ProxyTelemetry {
     allow_total: [Counter; AllowReason::ALL.len()],
     drop_total: [Counter; DropReason::ALL.len()],
     quarantine_total: Counter,
-    quarantine_held: Counter,
     quarantine_released_ctr: Counter,
     quarantine_expired_ctr: Counter,
     quarantine_depth: Gauge,
@@ -641,10 +646,6 @@ impl ProxyTelemetry {
             "Unverified manual episodes detected retrospectively at event closure.",
         );
         registry.describe(
-            "fiat_quarantine_held_total",
-            "Packets held in pending-verdict quarantine.",
-        );
-        registry.describe(
             "fiat_quarantine_released_total",
             "Held packets released by a late-arriving humanness proof.",
         );
@@ -690,7 +691,6 @@ impl ProxyTelemetry {
                 "fiat_proxy_decisions_total",
                 &[("decision", "quarantine"), ("reason", "pending_proof")],
             ),
-            quarantine_held: registry.counter("fiat_quarantine_held_total", &[]),
             quarantine_released_ctr: registry.counter("fiat_quarantine_released_total", &[]),
             quarantine_expired_ctr: registry.counter("fiat_quarantine_expired_total", &[]),
             quarantine_depth: registry.gauge("fiat_quarantine_depth", &[]),
@@ -760,6 +760,84 @@ impl ProxyTelemetry {
             ProxyDecision::Quarantine => self.quarantine_total.inc(),
         }
     }
+
+    /// Record the microseconds since `start` into `stage`, for stages
+    /// timed by hand (a [`Span`] would hold a borrow of the telemetry
+    /// across calls that need the whole [`EventSink`]). `None` means the
+    /// decision was not sampled.
+    fn record_since(&self, stage: &Histogram, start: Option<u64>) {
+        if let Some(start) = start {
+            stage.record(self.clock.now_micros().saturating_sub(start));
+        }
+    }
+}
+
+/// Where every decision-path transition lands: the counters, the
+/// telemetry, the optional hook, and the audit chain. A field of its own
+/// so the decision path can [`EventSink::emit`] while it holds a device
+/// borrowed.
+struct EventSink {
+    stats: ProxyStats,
+    telemetry: ProxyTelemetry,
+    hook: Option<Box<dyn ProxyHook>>,
+    audit: AuditLog,
+}
+
+impl EventSink {
+    /// Record one transition. The only code that maps a [`ProxyEvent`]
+    /// to its [`ProxyStats`] field, counter, gauge and hook call.
+    #[inline]
+    fn emit(&mut self, ts: SimTime, device: u16, ev: ProxyEvent) {
+        let tel = &self.telemetry;
+        let s = &mut self.stats;
+        match ev {
+            ProxyEvent::Decided(d) => {
+                tel.note_decision(d);
+                match d {
+                    ProxyDecision::Allow(AllowReason::Bootstrap) => s.bootstrap += 1,
+                    ProxyDecision::Allow(AllowReason::RuleHit) => s.rule_hit += 1,
+                    ProxyDecision::Allow(AllowReason::FirstN) => s.first_n += 1,
+                    ProxyDecision::Allow(AllowReason::NonManual) => s.non_manual += 1,
+                    ProxyDecision::Allow(AllowReason::ManualVerified) => s.manual_verified += 1,
+                    ProxyDecision::Allow(AllowReason::Cascade) => s.cascade += 1,
+                    ProxyDecision::Allow(AllowReason::UnknownDevice) => s.unknown_device += 1,
+                    ProxyDecision::Allow(AllowReason::QuarantineReleased) => {
+                        s.quarantine_released += 1
+                    }
+                    ProxyDecision::Allow(AllowReason::FingerprintMatched) => {
+                        s.fingerprint_matched += 1
+                    }
+                    ProxyDecision::Drop(DropReason::ManualUnverified) => s.dropped_unverified += 1,
+                    ProxyDecision::Drop(DropReason::LockedOut) => s.dropped_lockout += 1,
+                    ProxyDecision::Drop(DropReason::QuarantineExpired) => s.dropped_quarantine += 1,
+                    ProxyDecision::Drop(DropReason::UnknownQuarantined) => s.dropped_unknown += 1,
+                    ProxyDecision::Quarantine => {
+                        s.quarantined += 1;
+                        tel.quarantine_depth.inc();
+                    }
+                }
+            }
+            ProxyEvent::Proof { verified: true } => tel.auth_verified.inc(),
+            ProxyEvent::Proof { verified: false } => tel.auth_rejected.inc(),
+            ProxyEvent::LockoutEntered => {
+                tel.locked_devices_gauge.inc();
+                tel.lockouts.inc();
+            }
+            ProxyEvent::LockoutCleared => tel.locked_devices_gauge.dec(),
+            ProxyEvent::QuarantineReleased { packets } => {
+                tel.quarantine_released_ctr.add(packets);
+                tel.quarantine_depth.add(-(packets as i64));
+            }
+            ProxyEvent::QuarantineExpired { packets } => {
+                s.quarantine_expired += packets;
+                tel.quarantine_expired_ctr.add(packets);
+                tel.quarantine_depth.add(-(packets as i64));
+            }
+        }
+        if let Some(h) = &self.hook {
+            h.on_event(ts, device, ev);
+        }
+    }
 }
 
 impl Default for ProxyTelemetry {
@@ -823,14 +901,11 @@ pub struct FiatProxy {
     bootstrap_buffer: Vec<PacketRecord>,
     rules: Option<RuleTable>,
     human_valid_until: SimTime,
-    audit: AuditLog,
     server_random_counter: u64,
     interactions: Option<InteractionGraph>,
     unknown_seen: HashSet<u16>,
-    stats: ProxyStats,
-    telemetry: ProxyTelemetry,
+    sink: EventSink,
     released_packets: Vec<PacketRecord>,
-    hook: Option<Box<dyn ProxyHook>>,
     fingerprinter: Option<Box<dyn FingerprintGate>>,
     degraded: bool,
 }
@@ -879,24 +954,26 @@ impl FiatProxy {
             bootstrap_buffer: Vec::new(),
             rules: None,
             human_valid_until: SimTime::ZERO,
-            audit,
             server_random_counter: 0,
             interactions: None,
             unknown_seen: HashSet::new(),
-            stats: ProxyStats::default(),
-            telemetry,
+            sink: EventSink {
+                stats: ProxyStats::default(),
+                telemetry,
+                hook: None,
+                audit,
+            },
             released_packets: Vec::new(),
-            hook: None,
             fingerprinter: None,
             degraded: false,
         }
     }
 
     /// Install a decision-path observer (see [`ProxyHook`]). Probing is
-    /// opt-in: without this call every hook site is a single branch on
-    /// `None`.
+    /// opt-in: without this call every emission's hook call is a single
+    /// branch on `None`.
     pub fn set_hook(&mut self, hook: Box<dyn ProxyHook>) {
-        self.hook = Some(hook);
+        self.sink.hook = Some(hook);
     }
 
     /// Install a behavioral fingerprint gate for unknown-MAC traffic
@@ -909,13 +986,13 @@ impl FiatProxy {
 
     /// Decision counters accumulated since start.
     pub fn stats(&self) -> ProxyStats {
-        self.stats
+        self.sink.stats
     }
 
     /// The proxy's telemetry handles (registry, decision counters, stage
     /// histograms).
     pub fn telemetry(&self) -> &ProxyTelemetry {
-        &self.telemetry
+        &self.sink.telemetry
     }
 
     /// Install a device-interaction DAG (§7 "Complex Scenarios"): manual
@@ -925,13 +1002,8 @@ impl FiatProxy {
         self.interactions = Some(graph);
     }
 
-    /// Mutable access to the interaction graph (e.g. to add edges live).
-    pub fn interactions_mut(&mut self) -> Option<&mut InteractionGraph> {
-        self.interactions.as_mut()
-    }
-
     /// Register a device: its classifier and command-completion threshold
-    /// N (the first-N allowance is `min(N, classify_at_cap)`; for N = 1
+    /// N (the first-N allowance is `min(N, CLASSIFY_AT_CAP)`; for N = 1
     /// devices the very first packet is held for an instant verdict).
     pub fn register_device(
         &mut self,
@@ -939,9 +1011,7 @@ impl FiatProxy {
         classifier: EventClassifier,
         min_packets_to_complete: usize,
     ) {
-        let classify_at = min_packets_to_complete
-            .min(self.config.classify_at_cap)
-            .max(1);
+        let classify_at = min_packets_to_complete.clamp(1, CLASSIFY_AT_CAP);
         let prev = self.devices.insert(
             device,
             DeviceState {
@@ -953,20 +1023,19 @@ impl FiatProxy {
                 quarantine: None,
             },
         );
+        let tel = &self.sink.telemetry;
         if prev.as_ref().is_some_and(|d| d.locked) {
-            self.telemetry.locked_devices_gauge.dec();
+            tel.locked_devices_gauge.dec();
         }
         if prev.as_ref().is_some_and(|d| d.open.is_some()) {
-            self.telemetry.open_events_gauge.dec();
+            tel.open_events_gauge.dec();
         }
         if let Some(q) = prev.as_ref().and_then(|d| d.quarantine.as_ref()) {
             // Re-registration discards any pending quarantine with the
             // rest of the device state; keep the depth gauge honest.
-            self.telemetry
-                .quarantine_depth
-                .add(-(q.packets.len() as i64));
+            tel.quarantine_depth.add(-(q.packets.len() as i64));
         }
-        self.telemetry.devices_gauge.set(self.devices.len() as i64);
+        tel.devices_gauge.set(self.devices.len() as i64);
     }
 
     /// Provide DNS knowledge (the proxy observes DNS responses on-path).
@@ -986,7 +1055,7 @@ impl FiatProxy {
 
     /// The audit log.
     pub fn audit(&self) -> &AuditLog {
-        &self.audit
+        &self.sink.audit
     }
 
     /// Sample the entry count of every growable state surface — the
@@ -996,7 +1065,7 @@ impl FiatProxy {
         let mut size = StateSize {
             rules: self.rules.as_ref().map_or(0, |r| r.len()),
             rule_ghosts: self.rules.as_ref().map_or(0, |r| r.ghost_len()),
-            audit_entries: self.audit.entries().len(),
+            audit_entries: self.sink.audit.entries().len(),
             replay_tickets: self.quic.replay_store().tickets(),
             replay_entries: self.quic.replay_store().total_entries(),
             replay_epochs: self.quic.replay_store().live_epochs().len(),
@@ -1035,15 +1104,13 @@ impl FiatProxy {
     pub fn clear_lockout(&mut self, device: u16) {
         if let Some(d) = self.devices.get_mut(&device) {
             if d.locked {
-                self.telemetry.locked_devices_gauge.dec();
-                if let Some(h) = &self.hook {
-                    h.on_lockout_cleared(device);
-                }
+                self.sink
+                    .emit(SimTime::ZERO, device, ProxyEvent::LockoutCleared);
             }
             d.locked = false;
             d.drops.clear();
             if d.open.take().is_some() {
-                self.telemetry.open_events_gauge.dec();
+                self.sink.telemetry.open_events_gauge.dec();
             }
         }
     }
@@ -1061,11 +1128,11 @@ impl FiatProxy {
         }
         self.degraded = degraded;
         if degraded {
-            self.telemetry.degraded_gauge.inc();
+            self.sink.telemetry.degraded_gauge.inc();
         } else {
-            self.telemetry.degraded_gauge.dec();
+            self.sink.telemetry.degraded_gauge.dec();
         }
-        self.audit.append(AuditEntry {
+        self.sink.audit.append(AuditEntry {
             ts: now,
             device: AUDIT_PROXY_DEVICE,
             // The transition is proxy-wide; Control is the neutral class
@@ -1165,6 +1232,7 @@ impl FiatProxy {
             .unwrap_or_default();
         let mut unknown_seen: Vec<u16> = self.unknown_seen.iter().copied().collect();
         unknown_seen.sort_unstable();
+        let audit = &self.sink.audit;
         HomeSnapshot {
             version: SNAPSHOT_VERSION,
             started_at: self.started_at,
@@ -1178,11 +1246,11 @@ impl FiatProxy {
             unknown_seen,
             devices,
             released_packets: self.released_packets.clone(),
-            stats: self.stats,
-            audit_entries: self.audit.entries().to_vec(),
-            audit_hashes: self.audit.hashes().iter().map(|h| h.to_vec()).collect(),
-            audit_checkpoint: self.audit.checkpoint().map(|c| c.to_vec()),
-            audit_truncated: self.audit.truncated(),
+            stats: self.sink.stats,
+            audit_entries: audit.entries().to_vec(),
+            audit_hashes: audit.hashes().iter().map(|h| h.to_vec()).collect(),
+            audit_checkpoint: audit.checkpoint().map(|c| c.to_vec()),
+            audit_truncated: audit.truncated(),
             quic: (&self.quic.to_image()).into(),
         }
     }
@@ -1305,14 +1373,16 @@ impl FiatProxy {
             bootstrap_buffer: snap.bootstrap_buffer.clone(),
             rules,
             human_valid_until: snap.human_valid_until,
-            audit,
             server_random_counter: snap.server_random_counter,
             interactions: None,
             unknown_seen: snap.unknown_seen.iter().copied().collect(),
-            stats: snap.stats,
-            telemetry,
+            sink: EventSink {
+                stats: snap.stats,
+                telemetry,
+                hook: None,
+                audit,
+            },
             released_packets: snap.released_packets.clone(),
-            hook: None,
             // Like the hook and interaction graph, the fingerprint gate
             // is runtime wiring, not snapshotted state — re-install it
             // after restore. Its evidence windows restart from empty.
@@ -1339,7 +1409,7 @@ impl FiatProxy {
         let payload = match self.quic.accept_zero_rtt(pkt) {
             Ok(p) => p,
             Err(e) => {
-                self.telemetry.auth_errors.inc();
+                self.sink.telemetry.auth_errors.inc();
                 return Err(AuthError::Transport(e));
             }
         };
@@ -1355,7 +1425,7 @@ impl FiatProxy {
         let payload = match self.quic.open(pkt) {
             Ok(p) => p,
             Err(e) => {
-                self.telemetry.auth_errors.inc();
+                self.sink.telemetry.auth_errors.inc();
                 return Err(AuthError::Transport(e));
             }
         };
@@ -1364,7 +1434,7 @@ impl FiatProxy {
 
     fn verify_and_validate(&mut self, payload: &[u8], now: SimTime) -> Result<bool, AuthError> {
         let Some((msg_bytes, tag)) = FiatApp::split_payload(payload) else {
-            self.telemetry.auth_errors.inc();
+            self.sink.telemetry.auth_errors.inc();
             return Err(AuthError::Malformed);
         };
         if !self
@@ -1372,28 +1442,25 @@ impl FiatProxy {
             .verify(self.keys.sign_key, msg_bytes, tag)
             .expect("sealed sign key")
         {
-            self.telemetry.auth_errors.inc();
+            self.sink.telemetry.auth_errors.inc();
             return Err(AuthError::BadSignature);
         }
         let Some(msg) = AuthMessage::decode(msg_bytes) else {
-            self.telemetry.auth_errors.inc();
+            self.sink.telemetry.auth_errors.inc();
             return Err(AuthError::Malformed);
         };
-        let span = Span::enter(&self.telemetry.stage_humanness, &*self.telemetry.clock);
+        let tel = &self.sink.telemetry;
+        let span = Span::enter(&tel.stage_humanness, &*tel.clock);
         let human = self.validator.validate_features(&msg.features, msg.truth);
         span.exit();
         if human {
             self.human_valid_until = now + self.config.human_valid_window;
-            self.telemetry.auth_verified.inc();
             if self.config.proof_deadline.is_some() {
                 self.resolve_quarantines(now);
             }
-        } else {
-            self.telemetry.auth_rejected.inc();
         }
-        if let Some(h) = &self.hook {
-            h.on_proof(now, human);
-        }
+        self.sink
+            .emit(now, 0, ProxyEvent::Proof { verified: human });
         Ok(human)
     }
 
@@ -1413,30 +1480,15 @@ impl FiatProxy {
             let dev = self.devices.get_mut(&id).expect("id from keys()");
             let deadline = dev.quarantine.as_ref().expect("filtered above").deadline;
             if now > deadline {
-                Self::expire_quarantine(
-                    id,
-                    dev,
-                    &self.config,
-                    &mut self.audit,
-                    &self.telemetry,
-                    &mut self.stats,
-                    self.hook.as_deref(),
-                    now,
-                );
+                dev.expire_quarantine(id, now, &self.config, &mut self.sink);
                 continue;
             }
             let q = dev.quarantine.take().expect("filtered above");
-            self.telemetry
-                .quarantine_released_ctr
-                .add(q.packets.len() as u64);
-            self.telemetry
-                .quarantine_depth
-                .add(-(q.packets.len() as i64));
-            if let Some(h) = &self.hook {
-                h.on_quarantine_released(now, id, q.packets.len() as u64);
-            }
+            let packets = q.packets.len() as u64;
+            self.sink
+                .emit(now, id, ProxyEvent::QuarantineReleased { packets });
             self.released_packets.extend(q.packets);
-            self.audit.append(AuditEntry {
+            self.sink.audit.append(AuditEntry {
                 ts: now,
                 device: id,
                 class: q.class,
@@ -1449,56 +1501,6 @@ impl FiatProxy {
                 if open.fate == Some(EventFate::Quarantine) {
                     open.fate = Some(EventFate::AllowRest(AllowReason::QuarantineReleased));
                 }
-            }
-        }
-    }
-
-    /// Demote an expired (or cap-demoted) quarantine record: the held
-    /// packets are discarded, the episode counts toward the lockout
-    /// window, and the open event (if still this one) seals as
-    /// `QuarantineExpired`. The episode time is `min(now, deadline)`:
-    /// for a lazy expiry (`now` past the deadline) that is the deadline
-    /// itself — resolution is lazy, the outcome must not depend on when
-    /// it is observed — while a record-cap demotion lands before its
-    /// deadline and is credited at the demotion time, never a future
-    /// timestamp that would poison the monotone lockout clamp.
-    #[allow(clippy::too_many_arguments)]
-    fn expire_quarantine(
-        device: u16,
-        dev: &mut DeviceState,
-        config: &ProxyConfig,
-        audit: &mut AuditLog,
-        telemetry: &ProxyTelemetry,
-        stats: &mut ProxyStats,
-        hook: Option<&dyn ProxyHook>,
-        now: SimTime,
-    ) {
-        let q = dev.quarantine.take().expect("caller checked presence");
-        let at = now.min(q.deadline);
-        stats.quarantine_expired += q.packets.len() as u64;
-        telemetry.quarantine_expired_ctr.add(q.packets.len() as u64);
-        telemetry.quarantine_depth.add(-(q.packets.len() as i64));
-        if let Some(h) = hook {
-            h.on_quarantine_expired(at, device, q.packets.len() as u64);
-        }
-        let locked = Self::record_unverified_drop(&mut dev.drops, at, config);
-        if locked && !dev.locked {
-            dev.locked = true;
-            telemetry.locked_devices_gauge.inc();
-            telemetry.lockouts.inc();
-            if let Some(h) = hook {
-                h.on_lockout(at, device);
-            }
-        }
-        audit.append(AuditEntry {
-            ts: at,
-            device,
-            class: q.class,
-            verdict: AuditVerdict::QuarantineExpired,
-        });
-        if let Some(open) = &mut dev.open {
-            if open.fate == Some(EventFate::Quarantine) {
-                open.fate = Some(EventFate::DropRest(DropReason::QuarantineExpired));
             }
         }
     }
@@ -1518,46 +1520,18 @@ impl FiatProxy {
     /// Decide one intercepted packet (timestamped by its `ts`).
     pub fn on_packet(&mut self, pkt: &PacketRecord) -> ProxyDecision {
         let sampled = self
+            .sink
             .stats
             .total()
             .is_multiple_of(ProxyTelemetry::STAGE_SAMPLE_EVERY);
-        // Timed by hand: a `Span` would borrow `self.telemetry` across
-        // `decide(&mut self)`.
-        let start = sampled.then(|| self.telemetry.clock.now_micros());
+        let start = sampled.then(|| self.sink.telemetry.clock.now_micros());
         let d = self.decide(pkt, sampled);
-        if let Some(start) = start {
-            let us = self.telemetry.clock.now_micros().saturating_sub(start);
-            self.telemetry.stage_decide.record(us);
-        }
+        let tel = &self.sink.telemetry;
+        tel.record_since(&tel.stage_decide, start);
         if self.degraded {
-            self.telemetry.degraded_decisions.inc();
+            tel.degraded_decisions.inc();
         }
-        self.telemetry.note_decision(d);
-        if let Some(h) = &self.hook {
-            h.on_decision(pkt.ts, pkt.device, d);
-        }
-        match d {
-            ProxyDecision::Allow(AllowReason::Bootstrap) => self.stats.bootstrap += 1,
-            ProxyDecision::Allow(AllowReason::RuleHit) => self.stats.rule_hit += 1,
-            ProxyDecision::Allow(AllowReason::FirstN) => self.stats.first_n += 1,
-            ProxyDecision::Allow(AllowReason::NonManual) => self.stats.non_manual += 1,
-            ProxyDecision::Allow(AllowReason::ManualVerified) => self.stats.manual_verified += 1,
-            ProxyDecision::Allow(AllowReason::Cascade) => self.stats.cascade += 1,
-            ProxyDecision::Allow(AllowReason::UnknownDevice) => self.stats.unknown_device += 1,
-            ProxyDecision::Allow(AllowReason::QuarantineReleased) => {
-                self.stats.quarantine_released += 1
-            }
-            ProxyDecision::Drop(DropReason::ManualUnverified) => self.stats.dropped_unverified += 1,
-            ProxyDecision::Drop(DropReason::LockedOut) => self.stats.dropped_lockout += 1,
-            ProxyDecision::Drop(DropReason::QuarantineExpired) => {
-                self.stats.dropped_quarantine += 1
-            }
-            ProxyDecision::Allow(AllowReason::FingerprintMatched) => {
-                self.stats.fingerprint_matched += 1
-            }
-            ProxyDecision::Drop(DropReason::UnknownQuarantined) => self.stats.dropped_unknown += 1,
-            ProxyDecision::Quarantine => self.stats.quarantined += 1,
-        }
+        self.sink.emit(pkt.ts, pkt.device, ProxyEvent::Decided(d));
         d
     }
 
@@ -1576,18 +1550,19 @@ impl FiatProxy {
             return ProxyDecision::Allow(AllowReason::Bootstrap);
         }
         if self.rules.is_none() {
-            let span = Span::enter(&self.telemetry.stage_rule_learn, &*self.telemetry.clock);
+            let tel = &self.sink.telemetry;
+            let span = Span::enter(&tel.stage_rule_learn, &*tel.clock);
             let engine = PredictabilityEngine::new(self.config.flow_def)
                 .with_tolerance(self.config.tolerance);
             let mut rules = RuleTable::learn_instrumented(
                 &engine,
                 &self.bootstrap_buffer,
                 &self.dns,
-                RuleTelemetry::registered(&self.telemetry.registry),
+                RuleTelemetry::registered(&self.sink.telemetry.registry),
             );
             rules.set_capacity(self.config.max_rules);
             span.exit();
-            self.telemetry.rules_gauge.set(rules.len() as i64);
+            self.sink.telemetry.rules_gauge.set(rules.len() as i64);
             self.rules = Some(rules);
             self.bootstrap_buffer.clear();
             self.bootstrap_buffer.shrink_to_fit();
@@ -1597,8 +1572,8 @@ impl FiatProxy {
         // LRU stamp (bounded mode evicts least-recently-matched) and
         // advances the ghost re-learn path on misses of evicted keys.
         let hit = {
-            let _span = sampled
-                .then(|| Span::enter(&self.telemetry.stage_rule_match, &*self.telemetry.clock));
+            let tel = &self.sink.telemetry;
+            let _span = sampled.then(|| Span::enter(&tel.stage_rule_match, &*tel.clock));
             self.rules.as_mut().expect("rules learned").matches_touch(
                 self.config.flow_def,
                 pkt,
@@ -1629,7 +1604,7 @@ impl FiatProxy {
                             FingerprintVerdict::Spoof { .. } => AuditVerdict::SpoofSuspected,
                             _ => AuditVerdict::UnknownQuarantined,
                         };
-                        self.audit.append(AuditEntry {
+                        self.sink.audit.append(AuditEntry {
                             ts: now,
                             device: pkt.device,
                             class: EventClass::Control,
@@ -1656,7 +1631,7 @@ impl FiatProxy {
             // bypass enforcement entirely; per-packet entries would let
             // an unenrolled chatty device flood the hash chain.
             if self.unknown_seen.insert(pkt.device) {
-                self.audit.append(AuditEntry {
+                self.sink.audit.append(AuditEntry {
                     ts: now,
                     device: pkt.device,
                     // No classifier to consult; Control is the neutral
@@ -1673,16 +1648,7 @@ impl FiatProxy {
         // must see the post-expiry world (sealed fate, lockout credit),
         // exactly as if a timer had fired at the deadline.
         if dev.quarantine.as_ref().is_some_and(|q| now > q.deadline) {
-            Self::expire_quarantine(
-                pkt.device,
-                dev,
-                &self.config,
-                &mut self.audit,
-                &self.telemetry,
-                &mut self.stats,
-                self.hook.as_deref(),
-                now,
-            );
+            dev.expire_quarantine(pkt.device, now, &self.config, &mut self.sink);
             if dev.locked {
                 return ProxyDecision::Drop(DropReason::LockedOut);
             }
@@ -1690,34 +1656,31 @@ impl FiatProxy {
 
         // Close a stale event. If it ended below the first-N window it
         // never met the classifier; give it its retrospective verdict.
-        let span = sampled
-            .then(|| Span::enter(&self.telemetry.stage_event_grouping, &*self.telemetry.clock));
+        let grouping = sampled.then(|| self.sink.telemetry.clock.now_micros());
         if dev.open.as_ref().is_some_and(|e| now - e.last >= gap) {
             let stale = dev.open.take().expect("presence checked above");
-            self.telemetry.open_events_gauge.dec();
-            if stale.fate.is_none() && self.config.retro_classify {
-                Self::retro_close(
+            self.sink.telemetry.open_events_gauge.dec();
+            if stale.fate.is_none() {
+                dev.retro_close(
                     pkt.device,
-                    dev,
                     stale,
                     &self.config,
                     self.human_valid_until,
                     self.interactions.as_ref(),
-                    &mut self.audit,
-                    &self.telemetry,
-                    &mut self.stats,
-                    self.hook.as_deref(),
+                    &mut self.sink,
                 );
                 // The retrospective episode may have been the one that
                 // locked the device; the packet that exposed it must not
                 // open a fresh event.
                 if dev.locked {
+                    let tel = &self.sink.telemetry;
+                    tel.record_since(&tel.stage_event_grouping, grouping);
                     return ProxyDecision::Drop(DropReason::LockedOut);
                 }
             }
         }
         if dev.open.is_none() {
-            self.telemetry.open_events_gauge.inc();
+            self.sink.telemetry.open_events_gauge.inc();
         }
         let open = dev.open.get_or_insert_with(|| OpenEvent {
             packets: Vec::new(),
@@ -1739,7 +1702,8 @@ impl FiatProxy {
         // zero — but must not rewind `last`, or the next in-order packet
         // measures an inflated gap and spuriously closes the event.
         open.last = open.last.max(now);
-        drop(span);
+        let tel = &self.sink.telemetry;
+        tel.record_since(&tel.stage_event_grouping, grouping);
 
         if let Some(fate) = open.fate {
             return match fate {
@@ -1752,11 +1716,6 @@ impl FiatProxy {
                         .expect("quarantine fate implies a live record");
                     if q.packets.len() < self.config.quarantine_capacity {
                         q.packets.push(pkt.clone());
-                        self.telemetry.quarantine_held.inc();
-                        self.telemetry.quarantine_depth.inc();
-                        if let Some(h) = &self.hook {
-                            h.on_quarantine_held(now, pkt.device);
-                        }
                         ProxyDecision::Quarantine
                     } else {
                         // Capacity overflow: shed the packet. No audit
@@ -1780,13 +1739,13 @@ impl FiatProxy {
             end: open.last,
         };
         let class = {
-            let _span = sampled
-                .then(|| Span::enter(&self.telemetry.stage_classification, &*self.telemetry.clock));
+            let tel = &self.sink.telemetry;
+            let _span = sampled.then(|| Span::enter(&tel.stage_classification, &*tel.clock));
             dev.classifier.classify_event(&ev, &open.packets)
         };
         if !class.is_manual() {
             open.fate = Some(EventFate::AllowRest(AllowReason::NonManual));
-            self.audit.append(AuditEntry {
+            self.sink.audit.append(AuditEntry {
                 ts: now,
                 device: pkt.device,
                 class,
@@ -1800,7 +1759,7 @@ impl FiatProxy {
             if let Some(g) = &mut self.interactions {
                 g.record_authorized(pkt.device, now);
             }
-            self.audit.append(AuditEntry {
+            self.sink.audit.append(AuditEntry {
                 ts: now,
                 device: pkt.device,
                 class,
@@ -1820,7 +1779,7 @@ impl FiatProxy {
             if let Some(g) = &mut self.interactions {
                 g.record_authorized(pkt.device, now);
             }
-            self.audit.append(AuditEntry {
+            self.sink.audit.append(AuditEntry {
                 ts: now,
                 device: pkt.device,
                 class,
@@ -1860,27 +1819,14 @@ impl FiatProxy {
                 if let Some(open) = &mut dev.open {
                     open.fate = Some(EventFate::Quarantine);
                 }
-                self.telemetry.quarantine_held.inc();
-                self.telemetry.quarantine_depth.inc();
-                if let Some(h) = &self.hook {
-                    h.on_quarantine_held(now, pkt.device);
-                }
                 return ProxyDecision::Quarantine;
             }
         }
 
         // Drop and count toward lockout.
         open.fate = Some(EventFate::DropRest(DropReason::ManualUnverified));
-        let locked = Self::record_unverified_drop(&mut dev.drops, now, &self.config);
-        if locked {
-            dev.locked = true;
-            self.telemetry.locked_devices_gauge.inc();
-            self.telemetry.lockouts.inc();
-            if let Some(h) = &self.hook {
-                h.on_lockout(now, pkt.device);
-            }
-        }
-        self.audit.append(AuditEntry {
+        let locked = dev.credit_unverified(pkt.device, now, &self.config, &mut self.sink);
+        self.sink.audit.append(AuditEntry {
             ts: now,
             device: pkt.device,
             class,
@@ -1910,42 +1856,7 @@ impl FiatProxy {
         }
         let Some((_, id)) = victim else { return };
         let dev = self.devices.get_mut(&id).expect("victim from scan");
-        Self::expire_quarantine(
-            id,
-            dev,
-            &self.config,
-            &mut self.audit,
-            &self.telemetry,
-            &mut self.stats,
-            self.hook.as_deref(),
-            now,
-        );
-    }
-
-    /// Record an unverified-manual episode at `at` into the sliding
-    /// lockout window and prune expired entries; returns whether the
-    /// window now exceeds the tolerance. Episode times are clamped to a
-    /// monotone high-water mark — with reordered packets (or a retro
-    /// closure of an old event) `at` can precede the newest recorded
-    /// episode, and a non-monotone deque would break the front-pruning:
-    /// `SimTime` subtraction saturates, so an old `at` reads every gap
-    /// as zero and stale episodes would never expire. The same clamp
-    /// semantics apply in `decide()`, `retro_close` (and through it
-    /// `flush`).
-    fn record_unverified_drop(
-        drops: &mut VecDeque<SimTime>,
-        at: SimTime,
-        config: &ProxyConfig,
-    ) -> bool {
-        let at = drops.back().map_or(at, |&newest| newest.max(at));
-        drops.push_back(at);
-        while drops
-            .front()
-            .is_some_and(|&t| at - t > config.lockout_window)
-        {
-            drops.pop_front();
-        }
-        drops.len() as u32 > config.lockout_threshold
+        dev.expire_quarantine(id, now, &self.config, &mut self.sink);
     }
 
     /// Close every open event whose gap has expired by `now`, applying
@@ -1962,34 +1873,92 @@ impl FiatProxy {
             // packet path does: the expiry (and any lockout it causes)
             // happened at the deadline, before this flush.
             if dev.quarantine.as_ref().is_some_and(|q| now > q.deadline) {
-                Self::expire_quarantine(
-                    id,
-                    dev,
-                    &self.config,
-                    &mut self.audit,
-                    &self.telemetry,
-                    &mut self.stats,
-                    self.hook.as_deref(),
-                    now,
-                );
+                dev.expire_quarantine(id, now, &self.config, &mut self.sink);
             }
             if dev.open.as_ref().is_some_and(|e| now - e.last >= gap) {
                 let stale = dev.open.take().expect("presence checked above");
-                self.telemetry.open_events_gauge.dec();
-                if stale.fate.is_none() && self.config.retro_classify {
-                    Self::retro_close(
+                self.sink.telemetry.open_events_gauge.dec();
+                if stale.fate.is_none() {
+                    dev.retro_close(
                         id,
-                        dev,
                         stale,
                         &self.config,
                         self.human_valid_until,
                         self.interactions.as_ref(),
-                        &mut self.audit,
-                        &self.telemetry,
-                        &mut self.stats,
-                        self.hook.as_deref(),
+                        &mut self.sink,
                     );
                 }
+            }
+        }
+    }
+}
+
+impl DeviceState {
+    /// Record an unverified-manual episode at `at` into the sliding
+    /// lockout window, prune expired entries, and lock the device when
+    /// the window exceeds the tolerance — the one place a lockout is
+    /// entered. Returns whether the window is over the tolerance.
+    ///
+    /// Episode times are clamped to a monotone high-water mark — with
+    /// reordered packets (or a retro closure of an old event) `at` can
+    /// precede the newest recorded episode, and a non-monotone deque
+    /// would break the front-pruning: `SimTime` subtraction saturates, so
+    /// an old `at` reads every gap as zero and stale episodes would never
+    /// expire.
+    fn credit_unverified(
+        &mut self,
+        device: u16,
+        at: SimTime,
+        config: &ProxyConfig,
+        sink: &mut EventSink,
+    ) -> bool {
+        let drops = &mut self.drops;
+        let at = drops.back().map_or(at, |&newest| newest.max(at));
+        drops.push_back(at);
+        while drops
+            .front()
+            .is_some_and(|&t| at - t > config.lockout_window)
+        {
+            drops.pop_front();
+        }
+        let over = drops.len() as u32 > config.lockout_threshold;
+        if over && !self.locked {
+            self.locked = true;
+            sink.emit(at, device, ProxyEvent::LockoutEntered);
+        }
+        over
+    }
+
+    /// Demote an expired (or cap-demoted) quarantine record: the held
+    /// packets are discarded, the episode counts toward the lockout
+    /// window, and the open event (if still this one) seals as
+    /// `QuarantineExpired`. The episode time is `min(now, deadline)`:
+    /// for a lazy expiry (`now` past the deadline) that is the deadline
+    /// itself — resolution is lazy, the outcome must not depend on when
+    /// it is observed — while a record-cap demotion lands before its
+    /// deadline and is credited at the demotion time, never a future
+    /// timestamp that would poison the monotone lockout clamp.
+    fn expire_quarantine(
+        &mut self,
+        device: u16,
+        now: SimTime,
+        config: &ProxyConfig,
+        sink: &mut EventSink,
+    ) {
+        let q = self.quarantine.take().expect("caller checked presence");
+        let at = now.min(q.deadline);
+        let packets = q.packets.len() as u64;
+        sink.emit(at, device, ProxyEvent::QuarantineExpired { packets });
+        self.credit_unverified(device, at, config, sink);
+        sink.audit.append(AuditEntry {
+            ts: at,
+            device,
+            class: q.class,
+            verdict: AuditVerdict::QuarantineExpired,
+        });
+        if let Some(open) = &mut self.open {
+            if open.fate == Some(EventFate::Quarantine) {
+                open.fate = Some(EventFate::DropRest(DropReason::QuarantineExpired));
             }
         }
     }
@@ -2001,18 +1970,14 @@ impl FiatProxy {
     /// lockout, which is what defeats fragment-and-pause evasion.
     /// (Verified/cascade outcomes deliberately do not refresh the
     /// interaction graph: the event is already over.)
-    #[allow(clippy::too_many_arguments)]
     fn retro_close(
+        &mut self,
         device: u16,
-        dev: &mut DeviceState,
         event: OpenEvent,
         config: &ProxyConfig,
         human_valid_until: SimTime,
         interactions: Option<&InteractionGraph>,
-        audit: &mut AuditLog,
-        telemetry: &ProxyTelemetry,
-        stats: &mut ProxyStats,
-        hook: Option<&dyn ProxyHook>,
+        sink: &mut EventSink,
     ) {
         let end = event.last;
         let ev = UnpredictableEvent {
@@ -2021,47 +1986,27 @@ impl FiatProxy {
             start: event.packets[0].ts,
             end,
         };
-        let class = dev.classifier.classify_event(&ev, &event.packets);
-        if !class.is_manual() {
-            audit.append(AuditEntry {
-                ts: end,
-                device,
-                class,
-                verdict: AuditVerdict::AllowedNonManual,
-            });
-            return;
-        }
-        let vouched =
-            end <= human_valid_until || interactions.is_some_and(|g| g.cascade_covers(device, end));
-        if vouched {
-            audit.append(AuditEntry {
-                ts: end,
-                device,
-                class,
-                verdict: AuditVerdict::AllowedManualVerified,
-            });
-            return;
-        }
-        telemetry.retro_unverified.inc();
-        stats.retro_unverified += 1;
-        let locked = Self::record_unverified_drop(&mut dev.drops, end, config);
-        if locked && !dev.locked {
-            dev.locked = true;
-            telemetry.locked_devices_gauge.inc();
-            telemetry.lockouts.inc();
-            if let Some(h) = hook {
-                h.on_lockout(end, device);
-            }
-        }
-        audit.append(AuditEntry {
-            ts: end,
-            device,
-            class,
-            verdict: if locked {
+        let class = self.classifier.classify_event(&ev, &event.packets);
+        let verdict = if !class.is_manual() {
+            AuditVerdict::AllowedNonManual
+        } else if end <= human_valid_until
+            || interactions.is_some_and(|g| g.cascade_covers(device, end))
+        {
+            AuditVerdict::AllowedManualVerified
+        } else {
+            sink.telemetry.retro_unverified.inc();
+            sink.stats.retro_unverified += 1;
+            if self.credit_unverified(device, end, config, sink) {
                 AuditVerdict::LockedOut
             } else {
                 AuditVerdict::DroppedUnverified
-            },
+            }
+        };
+        sink.audit.append(AuditEntry {
+            ts: end,
+            device,
+            class,
+            verdict,
         });
     }
 }
@@ -2180,18 +2125,7 @@ mod tests {
         let t = bootstrap(&mut proxy);
 
         // The phone sends valid evidence first (0-RTT after handshake).
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("com.smartplug.app", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        assert_eq!(
-            proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)),
-            Ok(true)
-        );
+        prove_human(&mut proxy, 1, t);
 
         // The command arrives moments later: allowed.
         assert_eq!(
@@ -2208,15 +2142,7 @@ mod tests {
     fn humanness_proof_expires() {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)).unwrap();
+        prove_human(&mut proxy, 1, t);
         // 31 s later (window is 30 s) the command is no longer covered.
         assert_eq!(
             proxy.on_packet(&pkt(t + 31_000, 235)),
@@ -2230,18 +2156,7 @@ mod tests {
         // fails humanness, so the command drops.
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::Resting, 500, 3);
-        let z = app
-            .authorize_zero_rtt("app", &imu, MotionKind::Resting, t)
-            .unwrap();
-        assert_eq!(
-            proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)),
-            Ok(false)
-        );
+        assert_eq!(send_proof(&mut proxy, 1, t, MotionKind::Resting), Ok(false));
         assert_eq!(
             proxy.on_packet(&pkt(t + 100, 235)),
             ProxyDecision::Drop(DropReason::ManualUnverified)
@@ -2448,32 +2363,6 @@ mod tests {
     }
 
     #[test]
-    fn retro_classification_can_be_disabled() {
-        // With `retro_classify` off, sub-classify-point fragments close
-        // silently — the pre-existing (vulnerable) behavior, kept for
-        // measurement harnesses that pin inline-only numbers.
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-        let config = ProxyConfig {
-            retro_classify: false,
-            ..ProxyConfig::default()
-        };
-        let mut proxy = FiatProxy::new(config, &SECRET, validator);
-        proxy.register_device(0, EventClassifier::simple_rule(235), 5);
-        proxy.start(SimTime::ZERO);
-        let t = bootstrap(&mut proxy);
-
-        for frag in 0..6u64 {
-            for j in 0..4u64 {
-                let d = proxy.on_packet(&pkt(t + frag * 6_000 + j * 50, 235));
-                assert_eq!(d, ProxyDecision::Allow(AllowReason::FirstN));
-            }
-        }
-        assert!(!proxy.is_locked(0));
-        assert_eq!(proxy.stats().retro_unverified, 0);
-        assert_eq!(proxy.audit().len(), 0);
-    }
-
-    #[test]
     fn first_n_allowance_for_complex_device() {
         // An ML device with classify point 5: four packets pass before
         // the verdict.
@@ -2671,15 +2560,7 @@ mod tests {
         proxy.start(SimTime::ZERO);
         let t = bootstrap(&mut proxy);
 
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("alexa", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)).unwrap();
+        prove_human(&mut proxy, 1, t);
         let mut alexa_cmd = pkt(t + 500, 235);
         alexa_cmd.device = 1;
         assert!(proxy.on_packet(&alexa_cmd).is_allow());
@@ -2714,15 +2595,7 @@ mod tests {
         proxy.start(SimTime::ZERO);
         let t = bootstrap(&mut proxy);
 
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("alexa", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)).unwrap();
+        prove_human(&mut proxy, 1, t);
         // Alexa's command rides the (1 s) human window.
         let mut alexa_cmd = pkt(t + 500, 235);
         alexa_cmd.device = 1;
@@ -2792,21 +2665,8 @@ mod tests {
         sent += 1;
 
         let s = proxy.stats();
-        assert_eq!(
-            s.total(),
-            s.bootstrap
-                + s.rule_hit
-                + s.first_n
-                + s.non_manual
-                + s.manual_verified
-                + s.cascade
-                + s.unknown_device
-                + s.dropped_unverified
-                + s.dropped_lockout
-                + s.quarantined
-                + s.quarantine_released
-                + s.dropped_quarantine
-        );
+        let by_reason: u64 = all_decisions().map(|d| stat_for(&s, d)).sum();
+        assert_eq!(s.total(), by_reason);
         assert_eq!(s.unknown_device, 1);
         assert_eq!(s.total(), sent);
         assert_eq!(
@@ -2847,15 +2707,7 @@ mod tests {
         }
 
         // Verified manual command.
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)).unwrap();
+        prove_human(&mut proxy, 1, t);
         proxy.on_packet(&pkt(t + 500, 235));
 
         // Four unverified manual events (well past the human window)
@@ -2874,40 +2726,8 @@ mod tests {
         // Every per-reason counter matches the ProxyStats field.
         let s = proxy.stats();
         let tel = proxy.telemetry();
-        let by_reason = [
-            (ProxyDecision::Allow(AllowReason::Bootstrap), s.bootstrap),
-            (ProxyDecision::Allow(AllowReason::RuleHit), s.rule_hit),
-            (ProxyDecision::Allow(AllowReason::FirstN), s.first_n),
-            (ProxyDecision::Allow(AllowReason::NonManual), s.non_manual),
-            (
-                ProxyDecision::Allow(AllowReason::ManualVerified),
-                s.manual_verified,
-            ),
-            (ProxyDecision::Allow(AllowReason::Cascade), s.cascade),
-            (
-                ProxyDecision::Allow(AllowReason::UnknownDevice),
-                s.unknown_device,
-            ),
-            (
-                ProxyDecision::Drop(DropReason::ManualUnverified),
-                s.dropped_unverified,
-            ),
-            (
-                ProxyDecision::Drop(DropReason::LockedOut),
-                s.dropped_lockout,
-            ),
-            (
-                ProxyDecision::Allow(AllowReason::QuarantineReleased),
-                s.quarantine_released,
-            ),
-            (
-                ProxyDecision::Drop(DropReason::QuarantineExpired),
-                s.dropped_quarantine,
-            ),
-            (ProxyDecision::Quarantine, s.quarantined),
-        ];
-        for (d, expected) in by_reason {
-            assert_eq!(tel.decision_count(d), expected, "{d:?}");
+        for d in all_decisions() {
+            assert_eq!(tel.decision_count(d), stat_for(&s, d), "{d:?}");
         }
         assert!(s.manual_verified > 0);
         assert!(s.dropped_unverified > 0);
@@ -2977,18 +2797,7 @@ mod tests {
         proxy.start(SimTime::ZERO);
         let t = bootstrap(&mut proxy);
 
-        let mut app = FiatApp::new(&SECRET, 1);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, t)
-            .unwrap();
-        assert_eq!(
-            proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t)),
-            Ok(true)
-        );
+        prove_human(&mut proxy, 1, t);
 
         for k in 0..4u64 {
             assert_eq!(
@@ -3074,20 +2883,25 @@ mod tests {
         proxy
     }
 
+    /// Deliver a 0-RTT proof carrying `motion` at `t_ms`.
+    fn send_proof(
+        proxy: &mut FiatProxy,
+        seed: u64,
+        t_ms: u64,
+        motion: MotionKind,
+    ) -> Result<bool, AuthError> {
+        let mut app = FiatApp::new(&SECRET, seed);
+        let sh = proxy.accept_handshake(&app.handshake_request());
+        app.complete_handshake(&sh).unwrap();
+        let imu = ImuTrace::synthesize(motion, 500, 3);
+        let z = app.authorize_zero_rtt("app", &imu, motion, t_ms).unwrap();
+        proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t_ms))
+    }
+
     /// Deliver a genuine 0-RTT humanness proof at `t_ms`.
     fn prove_human(proxy: &mut FiatProxy, seed: u64, t_ms: u64) {
-        let mut app = FiatApp::new(&SECRET, seed);
-        let ch = app.handshake_request();
-        let sh = proxy.accept_handshake(&ch);
-        app.complete_handshake(&sh).unwrap();
-        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
-        let z = app
-            .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, t_ms)
-            .unwrap();
-        assert_eq!(
-            proxy.on_auth_zero_rtt(&z, SimTime::from_millis(t_ms)),
-            Ok(true)
-        );
+        let verified = send_proof(proxy, seed, t_ms, MotionKind::HumanTouch);
+        assert_eq!(verified, Ok(true));
     }
 
     #[test]
@@ -3322,6 +3136,185 @@ mod tests {
         prove_human(&mut proxy, 1, t + 40_000);
         assert_eq!(proxy.take_quarantine_releases().len(), 1);
         assert_eq!(proxy.stats().quarantined, 1);
+    }
+
+    /// Every event a hook saw, keyed by decision reason or transition
+    /// name; quarantine resolutions add their packet counts.
+    #[derive(Default)]
+    struct Tally {
+        counts: HashMap<&'static str, u64>,
+        log: Vec<&'static str>,
+    }
+
+    struct TallyHook(Arc<std::sync::Mutex<Tally>>);
+
+    impl ProxyHook for TallyHook {
+        fn on_event(&self, ts: SimTime, device: u16, ev: ProxyEvent) {
+            let (key, n) = match ev {
+                ProxyEvent::Decided(d) => (d.reason_str(), 1),
+                ProxyEvent::Proof { verified } => {
+                    assert_eq!(device, 0, "proofs are reported as device 0");
+                    (if verified { "verified" } else { "rejected" }, 1)
+                }
+                ProxyEvent::LockoutEntered => ("lockout", 1),
+                ProxyEvent::LockoutCleared => {
+                    assert_eq!(ts, SimTime::ZERO, "clears happen outside packet time");
+                    ("cleared", 1)
+                }
+                ProxyEvent::QuarantineReleased { packets } => ("released", packets),
+                ProxyEvent::QuarantineExpired { packets } => ("expired", packets),
+            };
+            let mut t = self.0.lock().unwrap();
+            *t.counts.entry(key).or_default() += n;
+            t.log.push(key);
+        }
+    }
+
+    /// Every decision a proxy can make.
+    fn all_decisions() -> impl Iterator<Item = ProxyDecision> {
+        AllowReason::ALL
+            .map(ProxyDecision::Allow)
+            .into_iter()
+            .chain(DropReason::ALL.map(ProxyDecision::Drop))
+            .chain([ProxyDecision::Quarantine])
+    }
+
+    /// The `ProxyStats` field counting decision `d`.
+    fn stat_for(s: &ProxyStats, d: ProxyDecision) -> u64 {
+        match d {
+            ProxyDecision::Allow(AllowReason::Bootstrap) => s.bootstrap,
+            ProxyDecision::Allow(AllowReason::RuleHit) => s.rule_hit,
+            ProxyDecision::Allow(AllowReason::FirstN) => s.first_n,
+            ProxyDecision::Allow(AllowReason::NonManual) => s.non_manual,
+            ProxyDecision::Allow(AllowReason::ManualVerified) => s.manual_verified,
+            ProxyDecision::Allow(AllowReason::Cascade) => s.cascade,
+            ProxyDecision::Allow(AllowReason::UnknownDevice) => s.unknown_device,
+            ProxyDecision::Allow(AllowReason::QuarantineReleased) => s.quarantine_released,
+            ProxyDecision::Allow(AllowReason::FingerprintMatched) => s.fingerprint_matched,
+            ProxyDecision::Drop(DropReason::ManualUnverified) => s.dropped_unverified,
+            ProxyDecision::Drop(DropReason::LockedOut) => s.dropped_lockout,
+            ProxyDecision::Drop(DropReason::QuarantineExpired) => s.dropped_quarantine,
+            ProxyDecision::Drop(DropReason::UnknownQuarantined) => s.dropped_unknown,
+            ProxyDecision::Quarantine => s.quarantined,
+        }
+    }
+
+    #[test]
+    fn hook_stats_and_telemetry_agree_on_every_transition() {
+        use fiat_telemetry::{ManualClock, MetricRegistry};
+        use ProxyDecision::{Allow, Drop, Quarantine};
+
+        let registry = MetricRegistry::new();
+        let telemetry = ProxyTelemetry::new(registry.clone(), Arc::new(ManualClock::new()));
+        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let config = ProxyConfig {
+            proof_deadline: Some(SimDuration::from_secs(60)),
+            ..ProxyConfig::default()
+        };
+        let mut proxy = FiatProxy::with_telemetry(config, &SECRET, validator, telemetry);
+        // Devices 0, 2, 3 decide on their first packet; device 1 only at
+        // its fifth, so 4-packet fragments close retrospectively.
+        for (device, n) in [(0, 1), (1, 5), (2, 1), (3, 1)] {
+            proxy.register_device(device, EventClassifier::simple_rule(235), n);
+        }
+        let tally = Arc::new(std::sync::Mutex::new(Tally::default()));
+        proxy.set_hook(Box::new(TallyHook(Arc::clone(&tally))));
+        proxy.start(SimTime::ZERO);
+        let t = bootstrap(&mut proxy);
+        let on =
+            |p: &mut FiatProxy, ms: u64, device: u16| p.on_packet(&pkt_dev(t + ms, 235, device));
+
+        // Device 0: two packets held, released by a late proof; the live
+        // remainder is allowed as released. Then a rejected proof.
+        assert_eq!(on(&mut proxy, 0, 0), Quarantine);
+        assert_eq!(on(&mut proxy, 100, 0), Quarantine);
+        prove_human(&mut proxy, 1, t + 2_000);
+        assert_eq!(
+            on(&mut proxy, 2_500, 0),
+            Allow(AllowReason::QuarantineReleased)
+        );
+        assert_eq!(
+            send_proof(&mut proxy, 2, t + 40_000, MotionKind::Resting),
+            Ok(false)
+        );
+
+        // Device 0: one quarantine expired by the packet that reveals
+        // its deadline (which re-quarantines), the next by a flush.
+        assert_eq!(on(&mut proxy, 100_000, 0), Quarantine);
+        assert_eq!(on(&mut proxy, 161_000, 0), Quarantine);
+        proxy.flush(SimTime::from_millis(t + 300_000));
+
+        // Device 3: three demotions while a record is pending, then its
+        // expiry is the fourth episode and locks the device.
+        assert_eq!(on(&mut proxy, 400_000, 3), Quarantine);
+        for k in 1..4u64 {
+            let d = on(&mut proxy, 400_000 + k * 6_000, 3);
+            assert_eq!(d, Drop(DropReason::ManualUnverified));
+        }
+        proxy.flush(SimTime::from_millis(t + 461_000));
+        assert!(proxy.is_locked(3));
+
+        // Device 2: four demotions lock it on the packet path; the user
+        // clears both lockouts (and a no-op clear on an unlocked device),
+        // then a proof releases device 2's pending record.
+        assert_eq!(on(&mut proxy, 600_000, 2), Quarantine);
+        for k in 1..6u64 {
+            on(&mut proxy, 600_000 + k * 6_000, 2);
+        }
+        assert!(proxy.is_locked(2));
+        proxy.clear_lockout(2);
+        proxy.clear_lockout(3);
+        proxy.clear_lockout(0);
+        prove_human(&mut proxy, 3, t + 640_000);
+
+        // Device 1: four fragments below its classify point close
+        // retrospectively; the fourth close locks it. Then an unknown
+        // device and a final flush.
+        for frag in 0..4u64 {
+            for j in 0..4u64 {
+                let d = on(&mut proxy, 800_000 + frag * 6_000 + j * 50, 1);
+                assert_eq!(d, Allow(AllowReason::FirstN));
+            }
+        }
+        assert_eq!(on(&mut proxy, 824_000, 1), Drop(DropReason::LockedOut));
+        on(&mut proxy, 830_000, 9);
+        proxy.flush(SimTime::from_millis(t + 900_000));
+
+        let s = proxy.stats();
+        let tel = proxy.telemetry();
+        let tally = tally.lock().unwrap();
+        let n = |key: &str| tally.counts.get(key).copied().unwrap_or(0);
+        let counter = |name: &str, labels: &[(&str, &str)]| registry.counter(name, labels).get();
+        let gauge = |name: &str| registry.gauge(name, &[]).get();
+        for d in all_decisions() {
+            assert_eq!(n(d.reason_str()), stat_for(&s, d), "{d:?}");
+            assert_eq!(n(d.reason_str()), tel.decision_count(d), "{d:?}");
+        }
+        let decided: u64 = all_decisions().map(|d| n(d.reason_str())).sum();
+        assert_eq!(decided, s.total());
+        assert_eq!((n("verified"), n("rejected")), (2, 1));
+        let auth = |result| counter("fiat_proxy_auth_total", &[("result", result)]);
+        assert_eq!((auth("verified"), auth("rejected")), (2, 1));
+        // One lockout per path: quarantine expiry, packet, retro close.
+        assert_eq!((n("lockout"), n("cleared")), (3, 2));
+        assert_eq!(tel.lockout_count(), 3);
+        assert_eq!(gauge("fiat_proxy_locked_devices"), 1);
+        assert_eq!(n("pending_proof"), 6);
+        assert_eq!(n("released"), 3);
+        assert_eq!(counter("fiat_quarantine_released_total", &[]), 3);
+        assert_eq!(n("expired"), 3);
+        assert_eq!(s.quarantine_expired, 3);
+        assert_eq!(counter("fiat_quarantine_expired_total", &[]), 3);
+        assert_eq!(gauge("fiat_quarantine_depth"), 0);
+        assert_eq!(s.retro_unverified, 4);
+        assert_eq!(counter("fiat_proxy_retro_unverified_total", &[]), 4);
+        // A proof fires after the releases it caused.
+        for (i, key) in tally.log.iter().enumerate() {
+            if *key == "released" {
+                assert_eq!(tally.log[i + 1], "verified");
+            }
+        }
+        assert!(proxy.audit().verify());
     }
 
     #[test]

@@ -42,17 +42,15 @@
 //! a slice, so the channels were pure overhead; the partition plan
 //! replaces them with zero hand-off claims.
 //!
-//! [`run_sharded_probed`] is the *observed* twin of [`run_sharded`]: the
-//! same plan/claim/decide/merge structure, plus per-stage time
-//! accounting, steal counters, and an optional flight recorder wired
-//! into the proxies through [`ProxyHook`]. It lives in separate code so
-//! the unprobed runtime pays nothing — not even a branch in its claim
-//! loop — when nobody is profiling.
+//! Every sharded entry point runs through one plan/claim/decide/merge
+//! loop. It always keeps per-stage time accounting and steal counters (a
+//! few clock reads per home, nothing per packet); [`run_sharded_probed`]
+//! returns that profile and can also wire a flight recorder into the
+//! proxies through [`ProxyHook`], while [`run_sharded`] and
+//! [`run_sharded_rebalancing`] return only the merged fleet view.
 
 use fiat_control::{enroll_home, restore_home, snapshot_home, DeviceSpec, HomeProvision};
-use fiat_core::{
-    EventClassifier, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
-};
+use fiat_core::{EventClassifier, ProxyConfig, ProxyEvent, ProxyHook, ProxyStats, ProxyTelemetry};
 use fiat_net::SimTime;
 use fiat_probe::{
     AllocScope, FleetProfile, FlightRecorder, ProbeConfig, ShardProfile, ShardRecorder, Stage,
@@ -302,7 +300,13 @@ fn fold(outcomes: Vec<ShardOutcome>, shards: usize) -> FleetOutcome {
 /// keeps the merged result byte-identical to [`run_sequential`] no
 /// matter which shard ends up running which home.
 pub fn run_sharded(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
-    run_sharded_with(workloads, shards, &|capture| run_home(capture))
+    run_claimed(
+        workloads,
+        shards,
+        &ProbeConfig::default(),
+        &run_home_with_hook,
+    )
+    .fleet
 }
 
 /// [`run_sharded`] where every home is rebalanced mid-capture: each
@@ -312,53 +316,11 @@ pub fn run_sharded(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
 /// reference at every shard count — the fleet-level proof that a
 /// control-plane home migration is invisible in every counter.
 pub fn run_sharded_rebalancing(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
-    run_sharded_with(workloads, shards, &|capture| {
+    // The recorder is off, so the claim loop never hands over a hook.
+    let runner = |capture: &TestbedTrace, _hook: Option<Box<dyn ProxyHook>>| {
         run_home_rebalanced(capture, capture.trace.packets.len() / 2)
-    })
-}
-
-/// The shared plan/claim/decide/merge skeleton of the unprobed entry
-/// points, generic over how one home is run.
-fn run_sharded_with<F>(workloads: &[HomeWorkload], shards: usize, runner: &F) -> FleetOutcome
-where
-    F: Fn(&TestbedTrace) -> HomeRun + Sync,
-{
-    let shards = shards.clamp(1, workloads.len().max(1));
-    let costs: Vec<u64> = workloads.iter().map(home_cost).collect();
-    let plan = PartitionPlan::build(&costs, shards);
-    let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-    std::thread::scope(|s| {
-        let plan = &plan;
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                s.spawn(move || {
-                    let registry = MetricRegistry::new();
-                    let mut stats = ProxyStats::default();
-                    let mut packets = 0u64;
-                    let mut homes = 0usize;
-                    while let Some(c) = plan.claim(shard) {
-                        let run = runner(&workloads[c.home].capture);
-                        registry.merge_from(&run.registry);
-                        stats += run.stats;
-                        packets += run.packets;
-                        homes += 1;
-                    }
-                    ShardOutcome {
-                        shard,
-                        homes,
-                        packets,
-                        stats,
-                        registry,
-                    }
-                })
-            })
-            .collect();
-        outcomes = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-    });
-    fold(outcomes, shards)
+    };
+    run_claimed(workloads, shards, &ProbeConfig::default(), &runner).fleet
 }
 
 /// Bridges the proxy's [`ProxyHook`] transitions into a shard's flight
@@ -380,12 +342,29 @@ impl RecorderHook {
             ring,
         }
     }
+}
 
-    fn record(&self, ts_us: u64, device: u16, kind: TraceKind, detail: &'static str, arg: u64) {
+impl ProxyHook for RecorderHook {
+    fn on_event(&self, ts: SimTime, device: u16, ev: ProxyEvent) {
+        let (kind, detail, arg) = match ev {
+            ProxyEvent::Decided(d) => (TraceKind::PacketDecided, d.reason_str(), 0),
+            ProxyEvent::Proof { verified: true } => (TraceKind::ProofArrival, "verified", 0),
+            ProxyEvent::Proof { verified: false } => (TraceKind::ProofArrival, "rejected", 0),
+            ProxyEvent::LockoutEntered => (TraceKind::LockoutEntered, "", 0),
+            // A user action, not a packet: reported at the sim origin and
+            // ordered among its home's events by seq.
+            ProxyEvent::LockoutCleared => (TraceKind::LockoutCleared, "", 0),
+            ProxyEvent::QuarantineReleased { packets } => {
+                (TraceKind::QuarantineReleased, "", packets)
+            }
+            ProxyEvent::QuarantineExpired { packets } => {
+                (TraceKind::QuarantineExpired, "", packets)
+            }
+        };
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         self.ring.record(TraceEvent {
-            ts_us,
+            ts_us: ts.as_micros(),
             home: self.home,
             seq,
             device,
@@ -393,57 +372,6 @@ impl RecorderHook {
             detail,
             arg,
         });
-    }
-}
-
-impl ProxyHook for RecorderHook {
-    fn on_decision(&self, ts: SimTime, device: u16, decision: ProxyDecision) {
-        self.record(
-            ts.as_micros(),
-            device,
-            TraceKind::PacketDecided,
-            decision.reason_str(),
-            0,
-        );
-    }
-
-    fn on_proof(&self, ts: SimTime, verified: bool) {
-        let detail = if verified { "verified" } else { "rejected" };
-        self.record(ts.as_micros(), 0, TraceKind::ProofArrival, detail, 0);
-    }
-
-    fn on_lockout(&self, ts: SimTime, device: u16) {
-        self.record(ts.as_micros(), device, TraceKind::LockoutEntered, "", 0);
-    }
-
-    fn on_lockout_cleared(&self, device: u16) {
-        // No simulated timestamp (a user action, not a packet): recorded
-        // at the sim origin, ordered among its home's events by seq.
-        self.record(0, device, TraceKind::LockoutCleared, "", 0);
-    }
-
-    fn on_quarantine_held(&self, ts: SimTime, device: u16) {
-        self.record(ts.as_micros(), device, TraceKind::QuarantineHeld, "", 0);
-    }
-
-    fn on_quarantine_released(&self, ts: SimTime, device: u16, packets: u64) {
-        self.record(
-            ts.as_micros(),
-            device,
-            TraceKind::QuarantineReleased,
-            "",
-            packets,
-        );
-    }
-
-    fn on_quarantine_expired(&self, ts: SimTime, device: u16, packets: u64) {
-        self.record(
-            ts.as_micros(),
-            device,
-            TraceKind::QuarantineExpired,
-            "",
-            packets,
-        );
     }
 }
 
@@ -491,6 +419,21 @@ pub fn run_sharded_probed(
     shards: usize,
     probes: &ProbeConfig,
 ) -> ProbedOutcome {
+    run_claimed(workloads, shards, probes, &run_home_with_hook)
+}
+
+/// The one plan/claim/decide/merge loop behind every sharded entry
+/// point, generic over how one home is run (`runner` gets the home's
+/// recorder hook when `probes` turns the recorder on).
+fn run_claimed<F>(
+    workloads: &[HomeWorkload],
+    shards: usize,
+    probes: &ProbeConfig,
+    runner: &F,
+) -> ProbedOutcome
+where
+    F: Fn(&TestbedTrace, Option<Box<dyn ProxyHook>>) -> HomeRun + Sync,
+{
     let shards = shards.clamp(1, workloads.len().max(1));
     let run_start = Instant::now();
     let recorder = (probes.recorder_capacity > 0)
@@ -561,7 +504,7 @@ pub fn run_sharded_probed(
                         });
                         let alloc = AllocScope::enter();
                         let t = Instant::now();
-                        let run = run_home_with_hook(&w.capture, hook);
+                        let run = runner(&w.capture, hook);
                         profile.add(Stage::Decide, t.elapsed());
                         profile.add_allocs(Stage::Decide, alloc.delta());
                         if let Some(ring) = &ring {

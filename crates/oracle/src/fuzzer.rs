@@ -15,7 +15,9 @@
 
 use crate::reference::ReferenceProxy;
 use fiat_core::audit::AuditEntry;
-use fiat_core::{EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyStats};
+use fiat_core::{
+    EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyStats, CLASSIFY_AT_CAP,
+};
 use fiat_fingerprint::{FingerprintEngine, MatcherConfig, SignatureSet};
 use fiat_net::{
     Direction, DnsTable, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion, TrafficClass,
@@ -846,7 +848,7 @@ fn inject_quarantine_probes(
     }
     let candidates: Vec<(u16, u16, usize)> = devices
         .iter()
-        .filter(|&&(_, size, n)| size > 0 && n.min(config.classify_at_cap) >= 2)
+        .filter(|&&(_, size, n)| size > 0 && n.min(CLASSIFY_AT_CAP) >= 2)
         .copied()
         .collect();
     for (k, release) in [(0usize, true), (1, false)] {
@@ -858,7 +860,7 @@ fn inject_quarantine_probes(
         };
         let anchor = packets[rng.gen_range(packets.len() / 3..packets.len())].ts;
         let t0 = anchor + config.event_gap * 5;
-        let burst = n.min(config.classify_at_cap).max(1) as u64 + 2;
+        let burst = n.clamp(1, CLASSIFY_AT_CAP) as u64 + 2;
         for j in 0..burst {
             let mut p = tpl.clone();
             p.size = size;
@@ -897,7 +899,7 @@ fn inject_manual_fragments(
 ) {
     let frag_devices: Vec<(u16, u16)> = devices
         .iter()
-        .filter(|&&(_, _, n)| n.min(config.classify_at_cap) >= 3)
+        .filter(|&&(_, _, n)| n.min(CLASSIFY_AT_CAP) >= 3)
         .map(|&(id, size, _)| (id, size))
         .collect();
     if frag_devices.is_empty() || packets.len() < 64 {

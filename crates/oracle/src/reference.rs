@@ -38,7 +38,7 @@ use fiat_core::audit::{AuditEntry, AuditVerdict};
 use fiat_core::classifier::EventClass;
 use fiat_core::{
     AllowReason, DropReason, EventClassifier, FingerprintVerdict, ProxyConfig, ProxyDecision,
-    ProxyStats, UnpredictableEvent,
+    ProxyStats, UnpredictableEvent, CLASSIFY_AT_CAP,
 };
 use fiat_fingerprint::{ClassSignature, MatcherConfig, FEATURE_COUNT, MAX_CLAIM_DOMAINS};
 use fiat_net::{DnsTable, FlowKey, PacketRecord, SimDuration, SimTime};
@@ -518,16 +518,14 @@ impl ReferenceProxy {
     }
 
     /// Register a device, mirroring `FiatProxy::register_device`'s
-    /// first-N clamp: `min(N, classify_at_cap).max(1)`.
+    /// first-N clamp: `N.clamp(1, CLASSIFY_AT_CAP)`.
     pub fn register_device(
         &mut self,
         device: u16,
         classifier: EventClassifier,
         min_packets_to_complete: usize,
     ) {
-        let classify_at = min_packets_to_complete
-            .min(self.config.classify_at_cap)
-            .max(1);
+        let classify_at = min_packets_to_complete.clamp(1, CLASSIFY_AT_CAP);
         self.devices.insert(
             device,
             RefDevice {
@@ -855,7 +853,6 @@ impl ReferenceProxy {
         // Close a stale event; sub-first-N closures get a retrospective
         // verdict, and if that verdict locked the device this packet is
         // dropped without opening a fresh event.
-        let retro = self.config.retro_classify;
         let human_valid_until = self.human_valid_until;
         let stale = {
             let dev = self.devices.get_mut(&pkt.device).expect("checked above");
@@ -866,7 +863,7 @@ impl ReferenceProxy {
             }
         };
         if let Some(ev) = stale {
-            if ev.fate.is_none() && retro {
+            if ev.fate.is_none() {
                 self.retro_close(pkt.device, ev, human_valid_until);
                 if self.devices[&pkt.device].locked {
                     return ProxyDecision::Drop(DropReason::LockedOut);
@@ -1019,7 +1016,6 @@ impl ReferenceProxy {
     /// device order (matching the real proxy's sorted flush).
     pub fn flush(&mut self, now: SimTime) {
         let gap = self.config.event_gap;
-        let retro = self.config.retro_classify;
         let human_valid_until = self.human_valid_until;
         let ids: Vec<u16> = self.devices.keys().copied().collect();
         for id in ids {
@@ -1037,7 +1033,7 @@ impl ReferenceProxy {
                 None
             };
             if let Some(ev) = stale {
-                if ev.fate.is_none() && retro {
+                if ev.fate.is_none() {
                     self.retro_close(id, ev, human_valid_until);
                 }
             }

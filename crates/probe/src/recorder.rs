@@ -55,8 +55,6 @@ pub enum TraceKind {
     LockoutEntered,
     /// A lockout was manually cleared.
     LockoutCleared,
-    /// A packet was held in pending-verdict quarantine.
-    QuarantineHeld,
     /// A quarantine record was released by a late proof (`arg`: packets).
     QuarantineReleased,
     /// A quarantine record expired at its deadline (`arg`: packets).
@@ -74,7 +72,6 @@ impl TraceKind {
             TraceKind::ProofArrival => "proof_arrival",
             TraceKind::LockoutEntered => "lockout_entered",
             TraceKind::LockoutCleared => "lockout_cleared",
-            TraceKind::QuarantineHeld => "quarantine_held",
             TraceKind::QuarantineReleased => "quarantine_released",
             TraceKind::QuarantineExpired => "quarantine_expired",
         }
@@ -246,11 +243,6 @@ impl FlightRecorder {
             );
         }
         out
-    }
-
-    /// Write the merged timeline to `path` as JSONL.
-    pub fn dump_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
     }
 }
 
